@@ -12,7 +12,7 @@
 //! 3. **MARS fit** — dominated by hinge-column construction, now fed
 //!    from a column-major transpose of the design matrix.
 //! 4. **Streaming inference** — synthetic fleet replayed through
-//!    [`chaos_stream::StreamEngine::push_second_into`] with a mid-run
+//!    [`chaos_stream::StreamEngine::push_tick`] with a mid-run
 //!    power shift so refits fire and adapted models route through the
 //!    batched predictor; reports samples/sec.
 //!
@@ -271,11 +271,14 @@ fn bench_streaming() -> StreamResult {
         machines: Vec::new(),
     };
 
+    let mut rows = Vec::with_capacity(MACHINES);
     let mut latencies_us = Vec::with_capacity(SECONDS);
     let t0 = Instant::now();
     for t in 0..SECONDS {
         let s0 = Instant::now();
-        engine.push_second_into(&run, t, &mut out).expect("tick");
+        rows.clear();
+        rows.extend(run.machines.iter().map(|m| m.row(t)));
+        engine.push_tick(&rows, &mut out).expect("tick");
         latencies_us.push(s0.elapsed().as_secs_f64() * 1e6);
         assert!(out.cluster_power_w.is_finite());
     }

@@ -80,10 +80,10 @@ struct DriveResult {
 
 fn drive(spec: FleetSpec, exec: ExecPolicy, bodies: &[Vec<u8>]) -> DriveResult {
     let opts = ServeOptions {
-        stream: StreamConfig::fast(),
+        stream: StreamConfig::fast().with_exec(exec),
         ..ServeOptions::quick(spec)
     };
-    let mut server = Server::new(opts, exec, None, 0).expect("boot server");
+    let mut server = Server::new(opts, None, 0).expect("boot server");
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     let mut latencies_us = Vec::with_capacity(bodies.len());
     let start = Instant::now();

@@ -132,6 +132,29 @@ impl AssembledRow {
     }
 }
 
+/// One machine's raw counter row for one second, borrowed: the input
+/// of [`RobustEstimator::assemble_row_from`].
+///
+/// `counter_ok` follows [`ValidityMask`]'s defaults: an entry missing
+/// from it (an empty slice included) means the counter is valid.
+///
+/// [`ValidityMask`]: chaos_counters::ValidityMask
+#[derive(Debug, Clone, Copy)]
+pub struct CounterRow<'a> {
+    /// Counter values in catalog order; a missing entry reads as NaN.
+    pub counters: &'a [f64],
+    /// Per-counter validity; missing entries are valid.
+    pub counter_ok: &'a [bool],
+}
+
+impl CounterRow<'_> {
+    /// Counter `c` when it is marked valid and finite.
+    fn usable(&self, c: usize) -> Option<f64> {
+        let v = self.counters.get(c).copied().unwrap_or(f64::NAN);
+        (self.counter_ok.get(c).copied().unwrap_or(true) && v.is_finite()).then_some(v)
+    }
+}
+
 /// Configuration for a [`RobustEstimator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustConfig {
@@ -439,10 +462,36 @@ impl RobustEstimator {
     /// caller-owned [`AssembledRow`], reusing its buffers so the
     /// streaming hot path assembles without per-sample allocation.
     /// State evolution and output are identical to `assemble_row`.
+    ///
+    /// Reads row `t` and, for lagged counters, row `t − 1` of the trace
+    /// through [`assemble_row_from`](RobustEstimator::assemble_row_from);
+    /// at `t = 0` there is no lag row.
     pub fn assemble_row_into(
         &self,
         m: &MachineRunTrace,
         t: usize,
+        imp: &mut ImputerState,
+        out: &mut AssembledRow,
+    ) {
+        let row = |t: usize| CounterRow {
+            counters: &m.counters[t],
+            counter_ok: m.validity.counters.get(t).map_or(&[], Vec::as_slice),
+        };
+        let lag = t.checked_sub(1).map(row);
+        self.assemble_row_from(row(t), m.alive_at(t), lag, imp, out);
+    }
+
+    /// Row-level assembly: the model-input row for one second from the
+    /// machine's current counter row, its liveness, and its previous
+    /// second's row (`lag`, read by lagged counters; `None` when there
+    /// is no previous second, which leaves every lagged column to the
+    /// imputer). A dead machine assembles an empty row. Advances `imp`
+    /// exactly as [`assemble_row`](RobustEstimator::assemble_row) does.
+    pub fn assemble_row_from(
+        &self,
+        row: CounterRow<'_>,
+        alive: bool,
+        lag: Option<CounterRow<'_>>,
         imp: &mut ImputerState,
         out: &mut AssembledRow,
     ) {
@@ -454,44 +503,26 @@ impl RobustEstimator {
         // chaos-lint: allow(R6) — same recycled buffer as above, fixed width
         out.available.resize(width, false);
         out.imputed = 0;
-        let row = &mut out.row;
-        let available = &mut out.available;
-        let mut imputed = 0usize;
-
-        if m.alive_at(t) {
-            for (k, &c) in self.spec.counters.iter().enumerate() {
-                let v = m.counters[t].get(c).copied().unwrap_or(f64::NAN);
-                if m.counter_ok(t, c) && v.is_finite() {
-                    imp.observe(k, v);
-                    row[k] = v;
-                    available[k] = true;
-                } else if let Some(iv) = imp.impute(k, self.config.impute) {
-                    row[k] = iv;
-                    available[k] = true;
-                    imputed += 1;
-                }
-            }
-            let base = self.spec.counters.len();
-            for (j, &c) in self.spec.lagged.iter().enumerate() {
-                let k = base + j;
-                let v = if t > 0 {
-                    m.counters[t - 1].get(c).copied().unwrap_or(f64::NAN)
-                } else {
-                    f64::NAN
-                };
-                if t > 0 && m.counter_ok(t - 1, c) && v.is_finite() {
-                    imp.observe(k, v);
-                    row[k] = v;
-                    available[k] = true;
-                } else if let Some(iv) = imp.impute(k, self.config.impute) {
-                    row[k] = iv;
-                    available[k] = true;
-                    imputed += 1;
-                }
+        if !alive {
+            return;
+        }
+        let current = self.spec.counters.iter().map(|&c| row.usable(c));
+        let lagged = self
+            .spec
+            .lagged
+            .iter()
+            .map(|&c| lag.and_then(|l| l.usable(c)));
+        for (k, v) in current.chain(lagged).enumerate() {
+            if let Some(v) = v {
+                imp.observe(k, v);
+                out.row[k] = v;
+                out.available[k] = true;
+            } else if let Some(iv) = imp.impute(k, self.config.impute) {
+                out.row[k] = iv;
+                out.available[k] = true;
+                out.imputed += 1;
             }
         }
-
-        out.imputed = imputed;
     }
 
     /// Walks the fallback chain over an assembled row — the second half

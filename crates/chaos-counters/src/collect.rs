@@ -12,6 +12,7 @@ use crate::synth::CounterSynth;
 use chaos_rng::ChaCha8Rng;
 use chaos_sim::churn::{MembershipEvent, MembershipKind};
 use chaos_sim::{Cluster, Platform, PowerMeter};
+use chaos_trace::SecondRow;
 use chaos_workloads::{simulate, SimConfig};
 use std::error::Error;
 use std::fmt;
@@ -200,6 +201,24 @@ impl MachineRunTrace {
             counters: &self.counters[t],
             measured_power_w: self.measured_power_w[t],
             trace: self,
+        }
+    }
+
+    /// Second `t` as a borrowed [`SecondRow`]: the row-level view
+    /// `chaos-stream` ticks on. Absent mask rows stay `None` (valid);
+    /// a missing meter reading reads as NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.seconds()`.
+    pub fn row(&self, t: usize) -> SecondRow<'_> {
+        SecondRow {
+            counters: &self.counters[t],
+            measured_power_w: self.measured_power_w.get(t).copied().unwrap_or(f64::NAN),
+            true_power_w: self.true_power_w.get(t).copied().unwrap_or(f64::NAN),
+            counter_ok: self.validity.counters.get(t).map(Vec::as_slice),
+            meter_ok: self.validity.meter.get(t).copied(),
+            alive: self.validity.alive.get(t).copied(),
         }
     }
 

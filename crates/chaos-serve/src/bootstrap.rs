@@ -9,23 +9,23 @@
 //! path, [`train_estimator`], and the restore path only has to check
 //! that the snapshot's spec echo matches before rehydrating state.
 //!
-//! Held-out baseline DRE is fixed at [`BASELINE_DRE`] — the drift
-//! detectors in every slot compare their rolling DRE against it, and
+//! Held-out baseline DRE is fixed at [`BASELINE_DRE`] — every
+//! machine's drift detector compares its rolling DRE against it, and
 //! it must be identical across boots for restored engines to make the
 //! same refit decisions.
 
-use crate::fleet::{Fleet, MachineSlot};
+use crate::fleet::Fleet;
 use crate::protocol::TickResult;
 use crate::snapshot::ServerState;
-use chaos_core::robust::{strawman_position, EstimateTier, RobustConfig, RobustEstimator};
+use chaos_core::robust::{strawman_position, RobustConfig, RobustEstimator};
 use chaos_core::FeatureSpec;
-use chaos_counters::{collect_run, CounterCatalog, MachineRunTrace, RunTrace, ValidityMask};
+use chaos_counters::{collect_run, CounterCatalog, RunTrace};
 use chaos_sim::FleetSpec;
-use chaos_stats::ExecPolicy;
-use chaos_stream::{SnapshotError, StreamConfig, StreamEngine, StreamOutput};
+use chaos_stream::{SnapshotError, StreamConfig, StreamEngine};
 use std::collections::BTreeMap;
 
-/// Held-out baseline DRE every slot's drift detector compares against.
+/// Held-out baseline DRE every machine's drift detector compares
+/// against.
 pub const BASELINE_DRE: f64 = 0.05;
 
 /// Machines in the synthetic calibration cluster (independent of fleet
@@ -41,8 +41,9 @@ const TRAIN_RUNS: u64 = 2;
 pub struct ServeOptions {
     /// The fleet this server models.
     pub fleet: FleetSpec,
-    /// Per-slot streaming configuration (the `exec` field is ignored —
-    /// slots always run serial engines; the *fleet* parallelizes).
+    /// Streaming configuration of the fleet engine. Its `exec` is the
+    /// server's one thread policy: the per-machine work of every tick
+    /// runs under it, with bit-identical responses for any setting.
     pub stream: StreamConfig,
     /// Power-history ring capacity, ticks.
     pub history_cap: usize,
@@ -74,7 +75,7 @@ impl ServeOptions {
     }
 }
 
-/// Trains the estimator the fleet's slots share — a pure function of
+/// Trains the estimator the fleet engine wraps — a pure function of
 /// the spec. Same spec, same model, to the bit.
 ///
 /// # Errors
@@ -116,106 +117,63 @@ pub fn train_estimator(spec: FleetSpec) -> Result<RobustEstimator, crate::ServeE
     })
 }
 
-/// Builds a fresh fleet for first boot: train, then one slot per
-/// machine.
+/// Builds a fresh fleet for first boot: train, then one engine over
+/// every machine.
 ///
 /// # Errors
 ///
 /// Propagates training or engine-construction failures.
-pub fn build_fleet(opts: &ServeOptions, exec: ExecPolicy) -> Result<Fleet, crate::ServeError> {
+pub fn build_fleet(opts: &ServeOptions) -> Result<Fleet, crate::ServeError> {
     let estimator = train_estimator(opts.fleet)?;
-    Fleet::new(&estimator, opts.fleet, opts.stream, exec, BASELINE_DRE)
+    Fleet::new(estimator, opts.fleet, opts.stream, BASELINE_DRE)
 }
 
-/// Rehydrates a fleet from a decoded snapshot: retrains the estimator
-/// from the spec (identical to first boot), restores every slot's
-/// engine from its embedded `CHAOSNAP` bytes, and rebuilds the rolling
-/// buffers.
+/// Rehydrates a fleet from a decoded snapshot: checks the fleet echo,
+/// retrains the estimator from the spec (identical to first boot), and
+/// restores the engine from its embedded `CHAOSNAP` bytes under this
+/// process's thread policy (`opts.stream.exec`).
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Incompatible`] (wrapped in
 /// [`crate::ServeError::Snapshot`]) when the snapshot's fleet echo
-/// does not match `opts.fleet`; decode errors for damaged embedded
-/// engine snapshots.
-pub fn restore_fleet(
-    opts: &ServeOptions,
-    exec: ExecPolicy,
-    state: &ServerState,
-) -> Result<Fleet, crate::ServeError> {
+/// does not match `opts.fleet`; decode errors for a damaged embedded
+/// engine snapshot.
+pub fn restore_fleet(opts: &ServeOptions, state: &ServerState) -> Result<Fleet, crate::ServeError> {
     let spec = opts.fleet;
+    let width = CounterCatalog::for_platform(&spec.platform.spec()).len();
+    let incompatible =
+        |context: String| crate::ServeError::Snapshot(SnapshotError::Incompatible { context });
     if state.platform != spec.platform.name()
         || state.machines != spec.machines
         || state.seed != spec.seed
     {
-        return Err(crate::ServeError::Snapshot(SnapshotError::Incompatible {
-            context: format!(
-                "snapshot is for fleet {}x{} seed {}, server configured for {}x{} seed {}",
-                state.platform,
-                state.machines,
-                state.seed,
-                spec.platform.name(),
-                spec.machines,
-                spec.seed
-            ),
-        }));
+        return Err(incompatible(format!(
+            "snapshot is for fleet {}x{} seed {}, server configured for {}x{} seed {}",
+            state.platform,
+            state.machines,
+            state.seed,
+            spec.platform.name(),
+            spec.machines,
+            spec.seed
+        )));
     }
-    let estimator = train_estimator(spec)?;
-    let width = CounterCatalog::for_platform(&spec.platform.spec()).len();
     if state.width != width {
-        return Err(crate::ServeError::Snapshot(SnapshotError::Incompatible {
-            context: format!(
-                "snapshot carries counter width {}, this build's catalog has {}",
-                state.width, width
-            ),
-        }));
+        return Err(incompatible(format!(
+            "snapshot carries counter width {}, this build's catalog has {}",
+            state.width, width
+        )));
     }
-    let mut slots = Vec::with_capacity(state.slots.len());
-    for slot_state in &state.slots {
-        let engine = StreamEngine::restore(estimator.clone(), &slot_state.engine)?;
-        let buf = RunTrace {
-            workload: "serve".to_string(),
-            run_seed: 0,
-            machines: vec![MachineRunTrace {
-                machine_id: 0,
-                platform: spec.platform,
-                counters: slot_state.counters.clone(),
-                measured_power_w: slot_state.measured_power_w.clone(),
-                true_power_w: vec![0.0; slot_state.measured_power_w.len()],
-                validity: ValidityMask {
-                    counters: slot_state.counter_ok.clone(),
-                    meter: slot_state.meter_ok.clone(),
-                    alive: slot_state.alive.clone(),
-                },
-            }],
-            membership: Vec::new(),
-        };
-        slots.push(MachineSlot {
-            engine,
-            buf,
-            base_t: slot_state.base_t,
-            pending: None,
-            samples_total: slot_state.samples_total,
-            refit_counts: slot_state.refit_counts.clone(),
-            last_refit_t: slot_state.last_refit_t,
-            last: slot_state.last.clone(),
-            out: StreamOutput {
-                t: 0,
-                cluster_power_w: 0.0,
-                worst_tier: EstimateTier::Full,
-                active_machines: 0,
-                machines: Vec::new(),
-            },
-            spare_masks: Vec::new(),
-        });
+    let mut engine = StreamEngine::restore(train_estimator(spec)?, &state.engine)?;
+    if engine.health().len() != spec.machines {
+        return Err(incompatible(format!(
+            "snapshot engine has {} machines, fleet has {}",
+            engine.health().len(),
+            spec.machines
+        )));
     }
-    Ok(Fleet {
-        slots,
-        exec,
-        t_next: state.t_next,
-        spec,
-        width,
-    })
+    engine.set_exec(opts.stream.exec);
+    Ok(Fleet::from_parts(engine, state.tallies.clone(), spec))
 }
 
 /// Restored auxiliary state the server carries besides the fleet.

@@ -1,118 +1,146 @@
-//! The sharded fleet: one single-machine [`StreamEngine`] per fleet
-//! member, advanced in parallel under an [`ExecPolicy`] and composed
-//! serially in machine order.
+//! The fleet: one N-machine [`StreamEngine`] plus the per-machine
+//! serving tallies `/v1/machines` reports.
 //!
-//! # Why one engine per machine
+//! A tick has two steps:
 //!
-//! `chaos-stream` already proves per-machine streams independent
-//! between membership events; the server leans on that by giving every
-//! machine its *own* engine and rolling trace buffer
-//! ([`MachineSlot`]). A tick then has three phases:
+//! 1. **Validate** (serial): the tick is checked against the fleet
+//!    shape, and its samples are borrowed as one [`SecondRow`] per
+//!    machine, in machine order. A rejected tick touches nothing.
+//! 2. **Advance** ([`StreamEngine::push_tick`]): the engine assembles
+//!    every machine's row against its own lag row, finishes each
+//!    machine's second under the configured [`ExecPolicy`], and
+//!    composes cluster power in machine order (Eq. 5).
 //!
-//! 1. **Validate + stage** (serial): the tick is checked against the
-//!    fleet shape and each sample staged into its slot.
-//! 2. **Advance** (parallel via [`ExecPolicy::par_map_mut`]): each slot
-//!    appends its staged row, pushes one second through its engine,
-//!    drains refit outcomes, and compacts its buffer back to the lag
-//!    row. Slots share nothing, so any shard count computes the same
-//!    bits.
-//! 3. **Compose** (serial, machine order): Eq. 5 summation, worst-tier
-//!    max, and tallies — the order-sensitive float work never runs
-//!    concurrently.
-//!
-//! That structure is what makes the wire-level determinism contract
-//! (`docs/PROTOCOL.md`) hold for any `CHAOS_THREADS`: the only
-//! parallel phase is over disjoint slots, pinned by
-//! `tests/determinism.rs`.
-//!
-//! # The rolling buffer
-//!
-//! [`StreamEngine::push_second`] reads second `t` and its predecessor
-//! from a [`RunTrace`], so a slot's buffer needs only *two* rows in
-//! steady state: the lag row and the current row. After each advance
-//! the slot compacts to the last row and calls
-//! [`StreamEngine::rebase`], keeping memory O(window), not O(stream).
+//! The wire-level determinism contract (`docs/PROTOCOL.md`) holds for
+//! any `CHAOS_THREADS` because the engine's only parallel phase works
+//! on disjoint machine states and every order-sensitive float sum runs
+//! serially, pinned by `tests/determinism.rs`. The engine keeps each
+//! machine's previous row itself, so serving memory is O(window) per
+//! machine at any uptime.
 
 use crate::protocol::{LastSample, MachineStatus, TickResult, WireSample, WireTick};
 use crate::ServeError;
 use chaos_core::robust::EstimateTier;
 use chaos_core::RobustEstimator;
-use chaos_counters::{MachineRunTrace, RunTrace, ValidityMask};
 use chaos_sim::FleetSpec;
 use chaos_stats::ExecPolicy;
-use chaos_stream::{StreamConfig, StreamEngine, StreamOutput, StreamSample};
+use chaos_stream::{MachineHealth, StreamConfig, StreamEngine, StreamOutput, StreamSample};
+use chaos_trace::SecondRow;
 use std::collections::BTreeMap;
 
-/// One fleet member's serving state: a single-machine engine plus the
-/// rolling two-row trace buffer it consumes.
-#[derive(Debug)]
-pub struct MachineSlot {
-    /// The machine's private streaming engine (always serial — the
-    /// fleet parallelizes *across* slots, never within one).
-    pub(crate) engine: StreamEngine,
-    /// Rolling single-machine trace: lag row + current row.
-    pub(crate) buf: RunTrace,
-    /// Absolute second the buffer's index space is offset by.
-    pub(crate) base_t: u64,
-    /// Sample staged by the validate phase for the next advance.
-    pub(crate) pending: Option<WireSample>,
-    /// Samples ingested for this machine.
-    pub(crate) samples_total: u64,
+/// One machine's serving tallies, filled from the engine's output and
+/// drained refit outcomes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
     /// Applied-refit tallies by tier label (`"none"` for failed
     /// ladders).
     pub(crate) refit_counts: BTreeMap<String, u64>,
-    /// Absolute second of the most recent refit attempt.
+    /// Second of the most recent refit attempt.
     pub(crate) last_refit_t: Option<u64>,
     /// Most recent emitted sample.
     pub(crate) last: Option<LastSample>,
-    /// Reused per-tick engine output — the sample vector's storage
-    /// survives across ticks so a steady-state advance allocates
-    /// nothing inside the engine call.
-    pub(crate) out: StreamOutput,
-    /// Recycled validity-mask rows reclaimed at compaction, reused for
-    /// samples that omit `counter_ok` (the common all-valid case).
-    pub(crate) spare_masks: Vec<Vec<bool>>,
 }
 
-/// What one slot's advance phase hands back to the composer.
-#[derive(Debug, Clone)]
-struct SlotAdvance {
-    sample: Option<StreamSample>,
-    refits: u64,
-}
-
-fn empty_buffer(platform: chaos_sim::Platform) -> RunTrace {
-    RunTrace {
-        workload: "serve".to_string(),
-        run_seed: 0,
-        machines: vec![MachineRunTrace {
-            machine_id: 0,
-            platform,
-            counters: Vec::new(),
-            measured_power_w: Vec::new(),
-            true_power_w: Vec::new(),
-            validity: ValidityMask {
-                counters: Vec::new(),
-                meter: Vec::new(),
-                alive: Vec::new(),
-            },
-        }],
-        membership: Vec::new(),
+impl Tally {
+    /// Records a sample emitted at second `t`, reusing the previous
+    /// sample's tier string unless the tier changed.
+    fn record(&mut self, t: u64, s: &StreamSample) {
+        let tier = s.tier.label();
+        match &mut self.last {
+            Some(l) => {
+                l.t = t;
+                l.power_w = s.power_w;
+                if l.tier != tier {
+                    l.tier.clear();
+                    l.tier.push_str(tier);
+                }
+                l.adapted = s.adapted;
+                l.imputed = s.imputed;
+                l.rolling_dre = s.rolling_dre;
+            }
+            None => {
+                self.last = Some(LastSample {
+                    t,
+                    power_w: s.power_w,
+                    tier: tier.to_string(),
+                    adapted: s.adapted,
+                    imputed: s.imputed,
+                    rolling_dre: s.rolling_dre,
+                });
+            }
+        }
     }
 }
 
-impl MachineSlot {
-    fn new(engine: StreamEngine, platform: chaos_sim::Platform) -> MachineSlot {
-        let buf = empty_buffer(platform);
-        MachineSlot {
+/// The wire sample as the engine reads it. A sample without a power
+/// reading has no trusted meter.
+fn wire_row(s: &WireSample) -> SecondRow<'_> {
+    SecondRow {
+        counters: &s.counters,
+        measured_power_w: s.power_w.unwrap_or(f64::NAN),
+        true_power_w: f64::NAN,
+        counter_ok: s.counter_ok.as_deref(),
+        meter_ok: Some(s.meter_ok && s.power_w.is_some()),
+        alive: Some(s.alive),
+    }
+}
+
+/// The fleet: the engine, its reused output, and per-machine tallies.
+#[derive(Debug)]
+pub struct Fleet {
+    pub(crate) engine: StreamEngine,
+    pub(crate) tallies: Vec<Tally>,
+    pub(crate) spec: FleetSpec,
+    pub(crate) width: usize,
+    /// Reused per-tick engine output: the sample vector's storage
+    /// survives across ticks.
+    out: StreamOutput,
+}
+
+impl Fleet {
+    /// Builds a fresh fleet: one engine over every machine with the
+    /// fleet's per-machine dynamic range. `stream.exec` is the thread
+    /// policy of every tick.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ServeError::Stream`] if engine construction rejects
+    /// the configuration.
+    pub fn new(
+        estimator: RobustEstimator,
+        spec: FleetSpec,
+        stream: StreamConfig,
+        baseline_dre: f64,
+    ) -> Result<Fleet, ServeError> {
+        let cluster = spec.cluster();
+        let max_w = spec.per_machine_max_w(&cluster);
+        let idle_w = spec.per_machine_idle_w(&cluster);
+        let engine = StreamEngine::new(
+            estimator,
+            spec.machines,
+            max_w,
+            idle_w,
+            baseline_dre,
+            stream,
+        )?;
+        Ok(Fleet::from_parts(
             engine,
-            buf,
-            base_t: 0,
-            pending: None,
-            samples_total: 0,
-            refit_counts: BTreeMap::new(),
-            last_refit_t: None,
-            last: None,
+            vec![Tally::default(); spec.machines],
+            spec,
+        ))
+    }
+
+    /// Assembles a fleet around an engine and its tallies (fresh or
+    /// restored).
+    pub(crate) fn from_parts(engine: StreamEngine, tallies: Vec<Tally>, spec: FleetSpec) -> Fleet {
+        // Samples carry *raw* counter rows (catalog width); the
+        // estimator assembles its model-input features from them.
+        let width = chaos_counters::CounterCatalog::for_platform(&spec.platform.spec()).len();
+        Fleet {
+            engine,
+            tallies,
+            spec,
+            width,
             out: StreamOutput {
                 t: 0,
                 cluster_power_w: 0.0,
@@ -120,210 +148,35 @@ impl MachineSlot {
                 active_machines: 0,
                 machines: Vec::new(),
             },
-            spare_masks: Vec::new(),
         }
     }
 
-    /// Appends the staged sample, advances the engine one second,
-    /// drains refit outcomes into the tallies, and compacts the buffer
-    /// back to the lag row.
-    fn advance(&mut self) -> Result<SlotAdvance, ServeError> {
-        let sample = self.pending.take().ok_or_else(|| ServeError::Internal {
-            detail: "slot advanced with no staged sample".to_string(),
-        })?;
-        let Some(m) = self.buf.machines.first_mut() else {
-            return Err(ServeError::Internal {
-                detail: "slot buffer lost its machine".to_string(),
-            });
-        };
-        let width = sample.counters.len();
-        m.counters.push(sample.counters);
-        let meter_ok = sample.meter_ok && sample.power_w.is_some();
-        m.measured_power_w.push(sample.power_w.unwrap_or(0.0));
-        m.true_power_w.push(0.0);
-        let mask = match sample.counter_ok {
-            Some(mask) => mask,
-            None => {
-                // All-valid default built in recycled storage instead of
-                // a fresh `vec![true; width]` every tick.
-                let mut mask = self.spare_masks.pop().unwrap_or_default();
-                mask.clear();
-                mask.resize(width, true);
-                mask
-            }
-        };
-        m.validity.counters.push(mask);
-        m.validity.meter.push(meter_ok);
-        m.validity.alive.push(sample.alive);
-        let rel = m.seconds() - 1;
-
-        self.engine
-            .push_second_into(&self.buf, rel, &mut self.out)?;
-        let stream_sample = self.out.machines.pop();
-
-        let drained = self.engine.drain_refit_outcomes();
-        let refits = drained.len() as u64;
-        for outcome in &drained {
-            let label = outcome.applied.map_or("none", |tier| tier.label());
-            match self.refit_counts.get_mut(label) {
-                Some(count) => *count += 1,
-                None => {
-                    self.refit_counts.insert(label.to_string(), 1);
-                }
-            }
-            self.last_refit_t = Some(self.base_t + outcome.t as u64);
-        }
-
-        self.samples_total += 1;
-        if let Some(s) = &stream_sample {
-            let t_abs = self.base_t + rel as u64;
-            let tier_label = s.tier.label();
-            match &mut self.last {
-                // Update the previous sample in place: the tier string's
-                // storage is reused unless the tier actually changed.
-                Some(l) => {
-                    l.t = t_abs;
-                    l.power_w = s.power_w;
-                    if l.tier != tier_label {
-                        l.tier.clear();
-                        l.tier.push_str(tier_label);
-                    }
-                    l.adapted = s.adapted;
-                    l.imputed = s.imputed;
-                    l.rolling_dre = s.rolling_dre;
-                }
-                None => {
-                    self.last = Some(LastSample {
-                        t: t_abs,
-                        power_w: s.power_w,
-                        tier: tier_label.to_string(),
-                        adapted: s.adapted,
-                        imputed: s.imputed,
-                        rolling_dre: s.rolling_dre,
-                    });
-                }
-            }
-        }
-
-        // Compact: keep only the just-consumed row as the next tick's
-        // lag row, and shift the engine cursor to match. Evicted mask
-        // rows are reclaimed for the next tick's all-valid default.
-        if let Some(m) = self.buf.machines.first_mut() {
-            m.counters.drain(..rel);
-            m.measured_power_w.drain(..rel);
-            m.true_power_w.drain(..rel);
-            for mask in m.validity.counters.drain(..rel) {
-                if self.spare_masks.len() < 2 {
-                    self.spare_masks.push(mask);
-                }
-            }
-            m.validity.meter.drain(..rel);
-            m.validity.alive.drain(..rel);
-        }
-        self.engine.rebase(rel)?;
-        self.base_t += rel as u64;
-
-        Ok(SlotAdvance {
-            sample: stream_sample,
-            refits,
-        })
-    }
-
-    /// The slot's serving status (for `/v1/machines`).
-    fn status(&self, machine_id: usize) -> MachineStatus {
-        let health = self
-            .engine
-            .health()
-            .first()
-            .map_or("healthy", |h| h.label())
-            .to_string();
-        MachineStatus {
-            machine_id,
-            health,
-            samples: self.samples_total,
-            last: self.last.clone(),
-            refit_counts: self.refit_counts.clone(),
-            last_refit_t: self.last_refit_t,
-        }
-    }
-}
-
-/// The sharded fleet: every machine's slot plus the shared cursor.
-#[derive(Debug)]
-pub struct Fleet {
-    pub(crate) slots: Vec<MachineSlot>,
-    pub(crate) exec: ExecPolicy,
-    pub(crate) t_next: u64,
-    pub(crate) spec: FleetSpec,
-    pub(crate) width: usize,
-}
-
-impl Fleet {
-    /// Builds a fleet of single-machine engines over a shared trained
-    /// estimator. Each slot gets its own engine with the fleet's
-    /// per-machine dynamic range; the estimator is cloned per slot so
-    /// slots stay disjoint for the parallel advance phase.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ServeError::Stream`] if engine construction rejects
-    /// the configuration.
-    pub fn new(
-        estimator: &RobustEstimator,
-        spec: FleetSpec,
-        stream: StreamConfig,
-        exec: ExecPolicy,
-        baseline_dre: f64,
-    ) -> Result<Fleet, ServeError> {
-        let cluster = spec.cluster();
-        let max_w = spec.per_machine_max_w(&cluster);
-        let idle_w = spec.per_machine_idle_w(&cluster);
-        // Samples carry *raw* counter rows (catalog width); the
-        // estimator assembles its model-input features from them.
-        let width = chaos_counters::CounterCatalog::for_platform(&spec.platform.spec()).len();
-        let per_slot = stream.with_exec(ExecPolicy::Serial);
-        let slots = (0..spec.machines)
-            .map(|_| {
-                let engine =
-                    StreamEngine::new(estimator.clone(), 1, max_w, idle_w, baseline_dre, per_slot)?;
-                Ok(MachineSlot::new(engine, spec.platform))
-            })
-            .collect::<Result<Vec<_>, ServeError>>()?;
-        Ok(Fleet {
-            slots,
-            exec,
-            t_next: 0,
-            spec,
-            width,
-        })
-    }
-
-    /// Validates one tick against the fleet shape and stages each
-    /// sample into its slot. Serial, and mutates nothing until every
-    /// sample has passed — a rejected tick leaves the fleet untouched.
-    fn stage(&mut self, tick: &WireTick) -> Result<(), ServeError> {
-        if tick.t != self.t_next {
+    /// Validates one tick against the fleet shape and returns its
+    /// samples as engine rows in machine order. Serial, and mutates
+    /// nothing — a rejected tick leaves the fleet untouched.
+    fn stage<'a>(&self, tick: &'a WireTick) -> Result<Vec<SecondRow<'a>>, ServeError> {
+        let machines = self.tallies.len();
+        if tick.t != self.t_next() {
             return Err(ServeError::OutOfOrder {
-                expected: self.t_next,
+                expected: self.t_next(),
                 got: tick.t,
             });
         }
-        if tick.machines.len() != self.slots.len() {
+        if tick.machines.len() != machines {
             return Err(ServeError::MachineCountMismatch {
-                expected: self.slots.len(),
+                expected: machines,
                 got: tick.machines.len(),
             });
         }
         // chaos-lint: allow(R6) — one bounded duplicate-detection bitmap per wire tick; serve ticks are network-paced, not sample-paced
-        let mut seen = vec![false; self.slots.len()];
+        let mut seen = vec![false; machines];
         for sample in &tick.machines {
-            if sample.machine_id >= self.slots.len() {
+            if sample.machine_id >= machines {
                 return Err(ServeError::InvalidSample {
                     // chaos-lint: allow(R6) — constructs a tick-rejection error; valid ticks never take these branches
                     detail: format!(
                         "machine_id {} outside fleet of {}",
-                        sample.machine_id,
-                        self.slots.len()
+                        sample.machine_id, machines
                     ),
                 });
             }
@@ -379,60 +232,70 @@ impl Fleet {
                 }
             }
         }
+        // Every placeholder is overwritten: the checks above admit each
+        // machine exactly once.
+        // chaos-lint: allow(R6) — one borrowed row view per machine-tick; the views point into the request, so they cannot outlive it
+        let mut rows = vec![SecondRow::clean(&[], f64::NAN, f64::NAN); machines];
         for sample in &tick.machines {
-            // chaos-lint: allow(R6) — staging takes ownership of the wire sample; one copy per machine-tick is the ingest cost
-            self.slots[sample.machine_id].pending = Some(sample.clone());
+            rows[sample.machine_id] = wire_row(sample);
         }
-        Ok(())
+        Ok(rows)
     }
 
-    /// Ingests one tick: validate + stage, parallel advance, serial
-    /// machine-order composition. Returns the cluster-composed result.
+    /// Ingests one tick: validate, advance the engine, and fill the
+    /// tallies from its output and drained refit outcomes. Returns the
+    /// cluster-composed result.
     ///
     /// # Errors
     ///
     /// Validation errors ([`ServeError::OutOfOrder`],
     /// [`ServeError::MachineCountMismatch`],
     /// [`ServeError::InvalidSample`]) reject the tick without touching
-    /// any slot; an advance-phase failure surfaces as the slot's error.
+    /// the engine; an engine failure surfaces as [`ServeError::Stream`].
     pub fn ingest_tick(&mut self, tick: &WireTick) -> Result<TickResult, ServeError> {
-        self.stage(tick)?;
+        let rows = self.stage(tick)?;
+        self.engine.push_tick(&rows, &mut self.out)?;
 
-        let advanced: Vec<Result<SlotAdvance, ServeError>> = self
-            .exec
-            .par_map_mut(&mut self.slots, |slot| slot.advance());
-
-        // Serial composition in machine order: Eq. 5 summation and the
-        // worst-tier max are order-sensitive, so they never run inside
-        // the parallel phase.
-        let mut cluster_power_w = 0.0;
-        let mut worst_tier = EstimateTier::Full;
-        let mut active_machines = 0usize;
-        let mut refits = 0u64;
-        for result in advanced {
-            let adv = result?;
-            refits += adv.refits;
-            if let Some(sample) = adv.sample {
-                cluster_power_w += sample.power_w;
-                worst_tier = worst_tier.max(sample.tier);
-                active_machines += 1;
+        let refits = self.tally_refits();
+        for sample in &self.out.machines {
+            if let Some(tally) = self.tallies.get_mut(sample.machine_id) {
+                tally.record(tick.t, sample);
             }
         }
-        let result = TickResult {
+        Ok(TickResult {
             t: tick.t,
-            cluster_power_w,
+            cluster_power_w: self.out.cluster_power_w,
             // chaos-lint: allow(R6) — wire-facing result field; one small string per tick response
-            worst_tier: worst_tier.label().to_string(),
-            active_machines,
+            worst_tier: self.out.worst_tier.label().to_string(),
+            active_machines: self.out.active_machines,
             refits,
-        };
-        self.t_next += 1;
-        Ok(result)
+        })
     }
 
-    /// The next second the fleet will accept.
+    /// Drains the engine's refit outcomes into each machine's tallies,
+    /// keyed by the outcome's machine, and returns how many there were.
+    // chaos-lint: cold — refit bookkeeping: only refits create outcomes, and a quiet tick drains empty logs without allocating
+    fn tally_refits(&mut self) -> u64 {
+        let mut refits = 0u64;
+        for outcome in self.engine.drain_refit_outcomes() {
+            refits += 1;
+            if let Some(tally) = self.tallies.get_mut(outcome.machine_id) {
+                let label = outcome.applied.map_or("none", |tier| tier.label());
+                match tally.refit_counts.get_mut(label) {
+                    Some(count) => *count += 1,
+                    None => {
+                        tally.refit_counts.insert(label.to_string(), 1);
+                    }
+                }
+                tally.last_refit_t = Some(outcome.t as u64);
+            }
+        }
+        refits
+    }
+
+    /// The next second the fleet will accept: the engine's cursor.
     pub fn t_next(&self) -> u64 {
-        self.t_next
+        self.engine.seconds_processed() as u64
     }
 
     /// The fleet specification this instance models.
@@ -447,25 +310,46 @@ impl Fleet {
 
     /// Fleet size.
     pub fn machines(&self) -> usize {
-        self.slots.len()
+        self.tallies.len()
+    }
+
+    /// The thread policy ticks run under.
+    pub fn exec(&self) -> ExecPolicy {
+        self.engine.config().exec
     }
 
     /// Machines currently inside the composition.
     pub fn active_count(&self) -> usize {
-        self.slots.iter().map(|s| s.engine.active_count()).sum()
+        self.engine.active_count()
     }
 
     /// One machine's serving status.
     pub fn machine_status(&self, id: usize) -> Option<MachineStatus> {
-        self.slots.get(id).map(|slot| slot.status(id))
+        let health = *self.engine.health().get(id)?;
+        self.tallies
+            .get(id)
+            .map(|tally| self.status(id, tally, health))
     }
 
     /// Every machine's serving status, machine order.
     pub fn statuses(&self) -> Vec<MachineStatus> {
-        self.slots
+        self.tallies
             .iter()
+            .zip(self.engine.health())
             .enumerate()
-            .map(|(id, slot)| slot.status(id))
+            .map(|(id, (tally, health))| self.status(id, tally, health))
             .collect()
+    }
+
+    fn status(&self, id: usize, tally: &Tally, health: MachineHealth) -> MachineStatus {
+        MachineStatus {
+            machine_id: id,
+            health: health.label().to_string(),
+            // `stage` admits every machine exactly once per tick.
+            samples: self.t_next(),
+            last: tally.last.clone(),
+            refit_counts: tally.refit_counts.clone(),
+            last_refit_t: tally.last_refit_t,
+        }
     }
 }

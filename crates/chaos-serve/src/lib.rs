@@ -2,10 +2,11 @@
 //!
 //! Turns the `chaos-stream` online-inference engine into a long-lived
 //! network service: clients `POST` per-second counter samples for a
-//! whole fleet, the server shards one [`StreamEngine`] per machine
-//! across worker threads under an [`ExecPolicy`], composes cluster
-//! power serially in machine order (Eq. 5 of the CHAOS paper), and
-//! answers over a dependency-free HTTP/1.1 + JSON wire protocol.
+//! whole fleet, the server feeds each tick to one fleet-wide
+//! [`StreamEngine`], which finishes every machine's second across
+//! worker threads under an [`ExecPolicy`] and composes cluster power
+//! serially in machine order (Eq. 5 of the CHAOS paper), and answers
+//! over a dependency-free HTTP/1.1 + JSON wire protocol.
 //!
 //! The protocol is documented normatively in `docs/PROTOCOL.md` and
 //! the operator's guide in `docs/OPERATIONS.md`. Two contracts carry
@@ -13,8 +14,8 @@
 //!
 //! * **Determinism** — the same sample log produces bit-identical
 //!   response bodies whatever `CHAOS_THREADS` is set to, because the
-//!   only parallel phase operates on disjoint per-machine slots
-//!   (`tests/determinism.rs` pins this).
+//!   engine's only parallel phase operates on disjoint per-machine
+//!   states (`tests/determinism.rs` pins this).
 //! * **Crash safety** — the full serving state snapshots into a
 //!   versioned `CHAOSRVE` envelope ([`snapshot`]); a server killed and
 //!   restored continues byte-identically (`tests/endpoints.rs` and the
@@ -24,7 +25,8 @@
 //!
 //! * [`http`] — hand-rolled HTTP/1.1 framing over `std` I/O traits.
 //! * [`protocol`] — wire request/response types and [`ServeError`].
-//! * [`fleet`] — per-machine engine slots and the sharded tick path.
+//! * [`fleet`] — the fleet engine, tick validation and per-machine
+//!   tallies.
 //! * [`snapshot`] — the `CHAOSRVE` snapshot envelope and codec.
 //! * [`server`] — the request router and checkpoint cadence.
 //! * [`bootstrap`] — deterministic training, first boot, and restore.

@@ -163,12 +163,11 @@ fn serve_connection(stream: TcpStream, server: &Arc<Mutex<Server>>, max_body: us
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = parse_cli(&args)?;
-    let exec = ExecPolicy::from_env();
     chaos_obs::init_from_env("chaos-serve");
 
     let opts = ServeOptions {
         fleet: cli.fleet,
-        stream: cli.profile,
+        stream: cli.profile.with_exec(ExecPolicy::from_env()),
         history_cap: cli.history,
         max_body_bytes: cli.max_body_bytes,
     };
@@ -191,14 +190,13 @@ fn run() -> Result<(), String> {
             eprintln!("chaos-serve: restoring from {}", c.path().display());
             Server::restore(
                 opts,
-                exec,
                 checkpointer.clone(),
                 cli.checkpoint_every_ticks,
                 &bytes,
             )
             .map_err(|e| format!("restore: {e}"))?
         }
-        _ => Server::new(opts, exec, checkpointer.clone(), cli.checkpoint_every_ticks)
+        _ => Server::new(opts, checkpointer.clone(), cli.checkpoint_every_ticks)
             .map_err(|e| format!("boot: {e}"))?,
     };
     let mut server = server;

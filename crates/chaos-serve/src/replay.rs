@@ -92,7 +92,7 @@ pub struct ReplayStats {
 /// catch-up path after a crash.
 ///
 /// The trace's machine count and counter width must match the fleet's;
-/// trace machines map to fleet slots by position. Replay streams the
+/// trace machines map to fleet machines by position. Replay streams the
 /// file block by block — working memory stays bounded regardless of
 /// trace length.
 ///

@@ -63,11 +63,10 @@ impl Server {
     /// Propagates training or engine-construction failures.
     pub fn new(
         opts: ServeOptions,
-        exec: ExecPolicy,
         checkpointer: Option<Checkpointer>,
         checkpoint_every_ticks: u64,
     ) -> Result<Server, ServeError> {
-        let fleet = bootstrap::build_fleet(&opts, exec)?;
+        let fleet = bootstrap::build_fleet(&opts)?;
         Ok(Server {
             fleet,
             opts,
@@ -79,8 +78,8 @@ impl Server {
     }
 
     /// Restore from a `CHAOSRVE` snapshot: retrains the estimator
-    /// (deterministic from the spec), rehydrates every slot, and
-    /// resumes at the snapshot's cursor. A restored server's
+    /// (deterministic from the spec), rehydrates the fleet engine under
+    /// `opts.stream.exec`, and resumes at the snapshot's cursor. A restored server's
     /// subsequent responses are byte-identical to the uninterrupted
     /// server's.
     ///
@@ -91,13 +90,12 @@ impl Server {
     /// [`ServeError::Internal`].
     pub fn restore(
         opts: ServeOptions,
-        exec: ExecPolicy,
         checkpointer: Option<Checkpointer>,
         checkpoint_every_ticks: u64,
         bytes: &[u8],
     ) -> Result<Server, ServeError> {
         let state = snapshot::decode(bytes)?;
-        let fleet = bootstrap::restore_fleet(&opts, exec, &state)?;
+        let fleet = bootstrap::restore_fleet(&opts, &state)?;
         let RestoredExtras { history, counters } = bootstrap::restored_extras(&state);
         Ok(Server {
             fleet,
@@ -200,7 +198,7 @@ impl Server {
     }
 
     fn config(&mut self) -> Response {
-        let exec = match self.fleet.exec {
+        let exec = match self.fleet.exec() {
             ExecPolicy::Serial => "serial".to_string(),
             ExecPolicy::Parallel { threads } => format!("parallel:{threads}"),
         };

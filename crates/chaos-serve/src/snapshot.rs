@@ -3,19 +3,22 @@
 //! The same envelope as the `CHAOSNAP` engine format — magic, version,
 //! length-prefixed payload, FNV-1a64 checksum — sealed and opened by
 //! [`chaos_stream::envelope`], with the payload written and read by
-//! chaos-trace's [`Enc`] and [`Dec`]. Each slot's engine snapshot rides
-//! inside as opaque length-prefixed bytes, so the engine format can
-//! evolve independently. Decode errors are [`SnapshotError`]s, so
-//! operators see one error vocabulary for both layers.
+//! chaos-trace's [`Enc`] and [`Dec`]. The fleet engine's snapshot
+//! rides inside as one opaque length-prefixed `CHAOSNAP` blob, so the
+//! engine format can evolve independently. Decode errors are
+//! [`SnapshotError`]s, so operators see one error vocabulary for both
+//! layers.
 //!
-//! What the snapshot captures: the cursor, a [`FleetSpec`] echo
-//! (compatibility check on restore), every slot's rolling buffer and
-//! tallies, the power-history ring, and the server's own counters.
-//! The trained estimator is deliberately *not* captured — it is a
-//! deterministic function of the spec, so restore retrains it (see
-//! `crate::bootstrap`) exactly as first boot did.
+//! What the snapshot captures: a fleet-spec echo (compatibility check
+//! on restore), every machine's serving tallies, the engine (cursor,
+//! models and lag rows included), the power-history ring, and the
+//! server's own counters. The trained estimator is deliberately *not*
+//! captured — it is a deterministic function of the spec, so restore
+//! retrains it (see `crate::bootstrap`) exactly as first boot did.
+//! Version 1, which held one engine and one rolling trace buffer per
+//! machine, is refused.
 
-use crate::fleet::{Fleet, MachineSlot};
+use crate::fleet::{Fleet, Tally};
 use crate::protocol::{LastSample, TickResult};
 use chaos_stream::envelope::{open, seal};
 use chaos_stream::SnapshotError;
@@ -26,44 +29,15 @@ use std::collections::BTreeMap;
 pub const SERVE_MAGIC: [u8; 8] = *b"CHAOSRVE";
 
 /// Current server snapshot format version.
-pub const SERVE_SNAPSHOT_VERSION: u32 = 1;
+pub const SERVE_SNAPSHOT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Decoded state
 // ---------------------------------------------------------------------
 
-/// One slot's decoded state, ready for `Fleet` reconstruction.
-#[derive(Debug, Clone)]
-pub struct SlotState {
-    /// Absolute second offset of the buffer index space.
-    pub base_t: u64,
-    /// Samples ingested.
-    pub samples_total: u64,
-    /// Refit tallies by tier label.
-    pub refit_counts: BTreeMap<String, u64>,
-    /// Absolute second of the most recent refit attempt.
-    pub last_refit_t: Option<u64>,
-    /// Most recent emitted sample.
-    pub last: Option<LastSample>,
-    /// Buffered counter rows (the lag row, usually).
-    pub counters: Vec<Vec<f64>>,
-    /// Buffered meter readings.
-    pub measured_power_w: Vec<f64>,
-    /// Buffered per-row counter validity.
-    pub counter_ok: Vec<Vec<bool>>,
-    /// Buffered meter validity.
-    pub meter_ok: Vec<bool>,
-    /// Buffered liveness.
-    pub alive: Vec<bool>,
-    /// The slot engine's own `CHAOSNAP` snapshot.
-    pub engine: Vec<u8>,
-}
-
 /// A fully decoded server snapshot.
 #[derive(Debug, Clone)]
 pub struct ServerState {
-    /// The cursor: next second the server will accept.
-    pub t_next: u64,
     /// Fleet echo: platform name.
     pub platform: String,
     /// Fleet echo: machine count.
@@ -72,8 +46,10 @@ pub struct ServerState {
     pub seed: u64,
     /// Fleet echo: counter-row width.
     pub width: usize,
-    /// Per-slot state, machine order.
-    pub slots: Vec<SlotState>,
+    /// Per-machine serving tallies, machine order.
+    pub(crate) tallies: Vec<Tally>,
+    /// The fleet engine's `CHAOSNAP` snapshot.
+    pub engine: Vec<u8>,
     /// Power-history ring, oldest first.
     pub history: Vec<TickResult>,
     /// The server's own counters.
@@ -99,46 +75,28 @@ fn encode_last(enc: &mut Enc, last: &Option<LastSample>) {
     }
 }
 
-fn encode_slot(enc: &mut Enc, slot: &MachineSlot) {
-    enc.u64(slot.base_t);
-    enc.u64(slot.samples_total);
-    enc.usize(slot.refit_counts.len());
-    for (label, count) in &slot.refit_counts {
+fn encode_tally(enc: &mut Enc, tally: &Tally) {
+    enc.usize(tally.refit_counts.len());
+    for (label, count) in &tally.refit_counts {
         enc.str(label);
         enc.u64(*count);
     }
-    enc.opt_u64(slot.last_refit_t);
-    encode_last(enc, &slot.last);
-    // chaos-lint: allow(R4, R7) — every slot buffer is built by
-    // empty_buffer with exactly one machine and compaction never
-    // removes it, so index 0 always exists.
-    let m = &slot.buf.machines[0];
-    enc.usize(m.counters.len());
-    for row in &m.counters {
-        enc.vec_f64(row);
-    }
-    enc.vec_f64(&m.measured_power_w);
-    enc.usize(m.validity.counters.len());
-    for row in &m.validity.counters {
-        enc.vec_bool(row);
-    }
-    enc.vec_bool(&m.validity.meter);
-    enc.vec_bool(&m.validity.alive);
-    enc.bytes(&slot.engine.snapshot());
+    enc.opt_u64(tally.last_refit_t);
+    encode_last(enc, &tally.last);
 }
 
 /// Encodes the full server state into a `CHAOSRVE` envelope.
 pub fn encode(fleet: &Fleet, history: &[TickResult], counters: &BTreeMap<String, u64>) -> Vec<u8> {
     let mut enc = Enc::new();
-    enc.u64(fleet.t_next());
     enc.str(fleet.spec().platform.name());
     enc.usize(fleet.spec().machines);
     enc.u64(fleet.spec().seed);
     enc.usize(fleet.width());
-    enc.usize(fleet.slots.len());
-    for slot in &fleet.slots {
-        encode_slot(&mut enc, slot);
+    enc.usize(fleet.tallies.len());
+    for tally in &fleet.tallies {
+        encode_tally(&mut enc, tally);
     }
+    enc.bytes(&fleet.engine.snapshot());
     enc.usize(history.len());
     for r in history {
         enc.u64(r.t);
@@ -174,9 +132,7 @@ fn decode_last(dec: &mut Dec<'_>) -> Result<Option<LastSample>, SnapshotError> {
     }))
 }
 
-fn decode_slot(dec: &mut Dec<'_>) -> Result<SlotState, SnapshotError> {
-    let base_t = dec.u64()?;
-    let samples_total = dec.u64()?;
+fn decode_tally(dec: &mut Dec<'_>) -> Result<Tally, SnapshotError> {
     let n_tallies = dec.len(1)?;
     let mut refit_counts = BTreeMap::new();
     for _ in 0..n_tallies {
@@ -184,32 +140,10 @@ fn decode_slot(dec: &mut Dec<'_>) -> Result<SlotState, SnapshotError> {
         let count = dec.u64()?;
         refit_counts.insert(label, count);
     }
-    let last_refit_t = dec.opt_u64()?;
-    let last = decode_last(dec)?;
-    let n_rows = dec.len(1)?;
-    let counters = (0..n_rows)
-        .map(|_| dec.vec_f64())
-        .collect::<Result<Vec<_>, _>>()?;
-    let measured_power_w = dec.vec_f64()?;
-    let n_vrows = dec.len(1)?;
-    let counter_ok = (0..n_vrows)
-        .map(|_| dec.vec_bool())
-        .collect::<Result<Vec<_>, _>>()?;
-    let meter_ok = dec.vec_bool()?;
-    let alive = dec.vec_bool()?;
-    let engine = dec.bytes()?.to_vec();
-    Ok(SlotState {
-        base_t,
-        samples_total,
+    Ok(Tally {
         refit_counts,
-        last_refit_t,
-        last,
-        counters,
-        measured_power_w,
-        counter_ok,
-        meter_ok,
-        alive,
-        engine,
+        last_refit_t: dec.opt_u64()?,
+        last: decode_last(dec)?,
     })
 }
 
@@ -225,20 +159,22 @@ fn decode_slot(dec: &mut Dec<'_>) -> Result<SlotState, SnapshotError> {
 pub fn decode(bytes: &[u8]) -> Result<ServerState, SnapshotError> {
     let payload = open(bytes, SERVE_MAGIC, SERVE_SNAPSHOT_VERSION)?;
     let mut dec = Dec::new(payload, &"serve snapshot");
-    let t_next = dec.u64()?;
     let platform = dec.str()?;
     let machines = dec.usize()?;
     let seed = dec.u64()?;
     let width = dec.usize()?;
-    let n_slots = dec.len(1)?;
-    if n_slots != machines {
+    let n_tallies = dec.len(1)?;
+    if n_tallies != machines {
         return Err(SnapshotError::Malformed {
-            context: format!("snapshot carries {n_slots} slots for a fleet of {machines}"),
+            context: format!(
+                "snapshot carries {n_tallies} machine tallies for a fleet of {machines}"
+            ),
         });
     }
-    let slots = (0..n_slots)
-        .map(|_| decode_slot(&mut dec))
+    let tallies = (0..n_tallies)
+        .map(|_| decode_tally(&mut dec))
         .collect::<Result<Vec<_>, _>>()?;
+    let engine = dec.bytes()?.to_vec();
     let n_hist = dec.len(1)?;
     let history = (0..n_hist)
         .map(|_| {
@@ -260,12 +196,12 @@ pub fn decode(bytes: &[u8]) -> Result<ServerState, SnapshotError> {
     }
     dec.expect_end()?;
     Ok(ServerState {
-        t_next,
         platform,
         machines,
         seed,
         width,
-        slots,
+        tallies,
+        engine,
         history,
         counters,
     })
@@ -284,12 +220,16 @@ mod tests {
         let mut bad_magic = vec![0u8; 40];
         bad_magic[0..8].copy_from_slice(b"NOTCHAOS");
         assert!(matches!(decode(&bad_magic), Err(SnapshotError::BadMagic)));
-        let mut bad_version = vec![0u8; 40];
-        bad_version[0..8].copy_from_slice(&SERVE_MAGIC);
-        bad_version[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            decode(&bad_version),
-            Err(SnapshotError::UnsupportedVersion { got: 99 })
-        ));
+        // Version 1 (one engine and trace buffer per machine) and an
+        // unknown future version are refused before the payload is read.
+        for version in [1u32, 99] {
+            let mut bad_version = vec![0u8; 40];
+            bad_version[0..8].copy_from_slice(&SERVE_MAGIC);
+            bad_version[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode(&bad_version),
+                Err(SnapshotError::UnsupportedVersion { got }) if got == version
+            ));
+        }
     }
 }

@@ -19,15 +19,22 @@ pub fn small_spec() -> FleetSpec {
     FleetSpec::new(Platform::Core2, 3, 42)
 }
 
-/// Test-shaped server options over the standard fleet.
+/// Test-shaped serial server options over the standard fleet.
 pub fn opts() -> ServeOptions {
     ServeOptions::quick(small_spec())
+}
+
+/// [`opts`] under another thread policy.
+pub fn opts_under(exec: ExecPolicy) -> ServeOptions {
+    let mut opts = opts();
+    opts.stream = opts.stream.with_exec(exec);
+    opts
 }
 
 /// A fresh serial server over the standard fleet with no
 /// checkpointing.
 pub fn server() -> Server {
-    Server::new(opts(), ExecPolicy::Serial, None, 0).expect("boot test server")
+    Server::new(opts(), None, 0).expect("boot test server")
 }
 
 /// Derives a deterministic per-second sample stream for `spec` from

@@ -9,7 +9,7 @@ use chaos_serve::Server;
 use chaos_stats::ExecPolicy;
 
 fn drive(exec: ExecPolicy) -> Vec<Vec<u8>> {
-    let mut server = Server::new(common::opts(), exec, None, 0).expect("boot server");
+    let mut server = Server::new(common::opts_under(exec), None, 0).expect("boot server");
     let ticks = common::ticks(common::small_spec(), 555, 45);
     let mut responses = Vec::new();
     // Interleave ingest batches with reads, the way a poller would.

@@ -134,13 +134,23 @@ fn unknown_machine_is_404_and_snapshot_without_checkpoint_is_409() {
 
 #[test]
 fn snapshot_endpoint_persists_and_server_restores_byte_identically() {
-    let dir = std::env::temp_dir().join(format!("chaos-serve-{}", std::process::id()));
+    // A snapshot written serially restores under either policy, and the
+    // restored server reports the policy it runs under.
+    for (restore_exec, label) in [
+        (ExecPolicy::Serial, "serial"),
+        (ExecPolicy::Parallel { threads: 4 }, "parallel:4"),
+    ] {
+        persist_and_restore(restore_exec, label);
+    }
+}
+
+fn persist_and_restore(restore_exec: ExecPolicy, label: &str) {
+    let dir = std::env::temp_dir().join(format!("chaos-serve-{}-{label}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("server.snap");
     let ckpt = Checkpointer::new(&path, 0);
 
-    let mut live = Server::new(common::opts(), ExecPolicy::Serial, Some(ckpt.clone()), 0)
-        .expect("boot server");
+    let mut live = Server::new(common::opts(), Some(ckpt.clone()), 0).expect("boot server");
     let ticks = common::ticks(common::small_spec(), 7, 40);
     let resp = common::post_ticks(&mut live, &ticks[..20]);
     assert_eq!(resp.status, 200);
@@ -154,7 +164,7 @@ fn snapshot_endpoint_persists_and_server_restores_byte_identically() {
 
     // Kill: drop the live server, restore a new one from disk.
     let bytes = ckpt.load().expect("read snapshot");
-    let mut restored = Server::restore(common::opts(), ExecPolicy::Serial, Some(ckpt), 0, &bytes)
+    let mut restored = Server::restore(common::opts_under(restore_exec), Some(ckpt), 0, &bytes)
         .expect("restore server");
     assert_eq!(restored.t_next(), 20);
 
@@ -170,6 +180,9 @@ fn snapshot_endpoint_persists_and_server_restores_byte_identically() {
         let b = get(&mut restored, path);
         assert_eq!(a.to_bytes(), b.to_bytes(), "divergence at {path}");
     }
+    // `/v1/config` alone may differ: it reports the running policy.
+    let config = body_json(&get(&mut restored, "/v1/config"));
+    assert_eq!(config.get("exec").and_then(Value::as_str), Some(label));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -186,8 +199,7 @@ fn restore_rejects_a_mismatched_fleet() {
         3,
         43, // different calibration seed
     ));
-    let err = Server::restore(other, ExecPolicy::Serial, None, 0, &bytes)
-        .expect_err("mismatched restore must fail");
+    let err = Server::restore(other, None, 0, &bytes).expect_err("mismatched restore must fail");
     assert_eq!(err.code(), "snapshot_failed");
 }
 
@@ -198,8 +210,7 @@ fn cadenced_checkpoint_fires_during_ingest() {
     let path = dir.join("cadence.snap");
     let ckpt = Checkpointer::new(&path, 0);
 
-    let mut server =
-        Server::new(common::opts(), ExecPolicy::Serial, Some(ckpt), 10).expect("boot server");
+    let mut server = Server::new(common::opts(), Some(ckpt), 10).expect("boot server");
     let ticks = common::ticks(common::small_spec(), 11, 10);
     let resp = common::post_ticks(&mut server, &ticks);
     assert_eq!(resp.status, 200);

@@ -7,7 +7,6 @@ mod common;
 
 use chaos_serve::http::{read_request, DEFAULT_MAX_BODY_BYTES};
 use chaos_serve::{IngestRequest, Server};
-use chaos_stats::ExecPolicy;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -114,9 +113,7 @@ fn tcp_ingest_query_kill_restore_continuation_is_byte_identical() {
     let json_rest = ticks_json(&ticks[15..]);
 
     // Boot over TCP, ingest the first half, snapshot in memory.
-    let (addr, shared) = spawn_server(
-        Server::new(common::opts(), ExecPolicy::Serial, None, 0).expect("boot server"),
-    );
+    let (addr, shared) = spawn_server(Server::new(common::opts(), None, 0).expect("boot server"));
     let (status, body) = post_ingest(addr, &json_first);
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
 
@@ -134,8 +131,7 @@ fn tcp_ingest_query_kill_restore_continuation_is_byte_identical() {
 
     // "Kill": boot a restored replica on a new port; drive both with
     // the identical remainder.
-    let restored = Server::restore(common::opts(), ExecPolicy::Serial, None, 0, &snapshot)
-        .expect("restore server");
+    let restored = Server::restore(common::opts(), None, 0, &snapshot).expect("restore server");
     let (addr_b, _shared_b) = spawn_server(restored);
 
     let (status_a, body_a) = post_ingest(addr, &json_rest);

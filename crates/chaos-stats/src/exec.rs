@@ -215,8 +215,8 @@ impl ExecPolicy {
     /// results in item order.
     ///
     /// This is the sharding primitive for stateful work: each item owns
-    /// mutable state (e.g. one streaming engine per machine in
-    /// `chaos-serve`) and `f` advances it. The slice is split into
+    /// mutable state (e.g. one machine's state in the streaming
+    /// engine's tick) and `f` advances it. The slice is split into
     /// contiguous chunks, one per worker, so item `i` is always processed
     /// by exactly one thread and results are merged back in chunk — i.e.
     /// index — order. Because `f` only sees one item at a time, the

@@ -7,7 +7,7 @@
 //! [`WindowedOls`] is the streaming counterpart: it maintains the
 //! normal equations of a sliding window incrementally, paying `O(k²)`
 //! per sample via rank-1 Cholesky update/downdate
-//! ([`CholeskyFactor`](crate::gram::CholeskyFactor)) instead of
+//! ([`CholeskyFactor`]) instead of
 //! refactorizing the window from scratch.
 
 use crate::dist;

@@ -1,29 +1,33 @@
 //! Crash-consistent engine snapshots: a versioned, dependency-free
-//! binary format for the full [`StreamEngine`](crate::StreamEngine)
-//! state.
+//! binary format for the full [`StreamEngine`] state.
 //!
 //! The bit-identity contract extends across process death: an engine
 //! killed at any second, restored from its last snapshot, and replayed
 //! over the remaining seconds must emit byte-for-byte the predictions an
 //! uninterrupted run would. That rules out text codecs — the drift
-//! thresholds in [`DriftConfig`](crate::DriftConfig) are legitimately
+//! thresholds in [`DriftConfig`] are legitimately
 //! `f64::INFINITY` for the disabled detector, which JSON cannot
 //! round-trip — so every float is written as its IEEE-754 bit pattern
 //! (`f64::to_bits`, little-endian), fitted technique models included.
 //!
 //! The payload travels in the snapshot [`envelope`](crate::envelope)
-//! under magic `CHAOSNAP`, version 2, and is written and read with
+//! under magic `CHAOSNAP`, version 3, and is written and read with
 //! chaos-trace's [`Enc`] and [`Dec`]. A snapshot that decodes is
 //! internally consistent: every count and index a restored model
-//! predicts with has been checked. Version 1, which carried technique
-//! models as nested JSON, is refused.
+//! predicts with has been checked. Each machine carries its lag row
+//! (the previous second's counters and their validity), since the
+//! engine reads no trace history. Version 2, which had no lag rows
+//! because its engine read them from a trace, and version 1, which
+//! carried technique models as nested JSON, are refused.
 //!
 //! [`Checkpointer`] adds atomic persistence: snapshots are written to a
 //! sibling temporary file and renamed into place, so a crash mid-write
 //! leaves the previous snapshot intact.
 
 use crate::drift::DriftState;
-use crate::engine::{BatchScratch, MachineScratch, MachineState, StreamConfig, StreamEngine};
+use crate::engine::{
+    BatchScratch, LagRow, MachineScratch, MachineState, StreamConfig, StreamEngine,
+};
 use crate::envelope::{open, seal, SnapshotError};
 use crate::refit::{AdaptedModel, RefitOutcome, RefitTier};
 use crate::supervise::{MachineHealth, RetryState, StreamError, SupervisorConfig};
@@ -43,7 +47,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CHAOSNAP";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 fn tier_tag(t: RefitTier) -> u8 {
     match t {
@@ -379,9 +383,19 @@ fn encode_machine(e: &mut Enc, s: &MachineState) {
             e.vec_usize(cols);
         }
     }
+
+    e.bool(s.lag.is_some());
+    if let Some(lag) = &s.lag {
+        e.vec_f64(&lag.counters);
+        e.vec_bool(&lag.counter_ok);
+    }
 }
 
-fn decode_machine(d: &mut Dec<'_>, config: &StreamConfig) -> Result<MachineState, SnapshotError> {
+fn decode_machine(
+    d: &mut Dec<'_>,
+    config: &StreamConfig,
+    id: usize,
+) -> Result<MachineState, SnapshotError> {
     let active = d.bool()?;
     let health = health_from_tag(d.u8()?)?;
     let consecutive_failures = d.usize()?;
@@ -475,6 +489,15 @@ fn decode_machine(d: &mut Dec<'_>, config: &StreamConfig) -> Result<MachineState
         });
     }
 
+    let lag = if d.bool()? {
+        Some(LagRow {
+            counters: d.vec_f64()?,
+            counter_ok: d.vec_bool()?,
+        })
+    } else {
+        None
+    };
+
     Ok(MachineState {
         imputer,
         window,
@@ -490,6 +513,8 @@ fn decode_machine(d: &mut Dec<'_>, config: &StreamConfig) -> Result<MachineState
         quarantines,
         rejoins,
         retries,
+        lag,
+        scratch: MachineScratch::new(id),
     })
 }
 
@@ -531,14 +556,12 @@ pub(crate) fn decode_engine(
     chaos_obs::add("stream.snapshot.restored", 1);
     // Scratch buffers are pure working memory — never checkpointed; a
     // restored engine warms them back up on its first ticks.
-    let scratch = (0..machines.len()).map(|_| MachineScratch::new()).collect();
     let batch = BatchScratch::new(width + 1);
     Ok(StreamEngine {
         estimator,
         config,
         machines,
         t,
-        scratch,
         batch,
     })
 }
@@ -557,9 +580,16 @@ fn decode_payload(
         });
     }
     let machines = (0..n_machines)
-        .map(|_| decode_machine(&mut d, &config))
+        .map(|id| decode_machine(&mut d, &config, id))
         .collect::<Result<Vec<_>, _>>()?;
     d.expect_end()?;
+    // Every tick hands each machine a lag row, so one exists exactly
+    // when a second has been consumed.
+    if let Some(id) = machines.iter().position(|m| m.lag.is_some() != (t > 0)) {
+        return Err(SnapshotError::Malformed {
+            context: format!("machine {id}: lag row present does not match cursor {t}"),
+        });
+    }
     Ok((config, t, machines))
 }
 
@@ -693,13 +723,15 @@ mod tests {
 
     #[test]
     fn version_1_snapshots_are_refused() {
-        // Version 1 carried technique models as nested JSON; its payload
-        // is not read at all.
-        let v1 = seal(SNAPSHOT_MAGIC, 1, b"{}");
-        assert_eq!(
-            open(&v1, SNAPSHOT_MAGIC, SNAPSHOT_VERSION),
-            Err(SnapshotError::UnsupportedVersion { got: 1 })
-        );
+        // Version 1 carried technique models as nested JSON and version 2
+        // had no lag rows; neither payload is read at all.
+        for old in [1, 2] {
+            let bytes = seal(SNAPSHOT_MAGIC, old, b"{}");
+            assert_eq!(
+                open(&bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION),
+                Err(SnapshotError::UnsupportedVersion { got: old })
+            );
+        }
     }
 
     #[test]

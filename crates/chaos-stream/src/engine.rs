@@ -40,15 +40,16 @@ use crate::membership;
 use crate::refit::{self, AdaptedModel, RefitOutcome, RefitTier};
 use crate::supervise::{self, MachineHealth, RetryState, StreamError, SupervisorConfig};
 use crate::window::SlidingWindow;
-use chaos_core::robust::{AssembledRow, EstimateTier, ImputerState};
+use chaos_core::robust::{AssembledRow, CounterRow, EstimateTier, ImputerState};
 use chaos_core::RobustEstimator;
 use chaos_counters::store::SampleSource;
-use chaos_counters::{MachineRunTrace, RunTrace};
+use chaos_counters::RunTrace;
 use chaos_obs::Value;
 use chaos_stats::batch::CoefBlock;
 use chaos_stats::ols::WindowedOls;
 use chaos_stats::stepwise::StepwiseConfig;
 use chaos_stats::{ExecPolicy, StatsError};
+use chaos_trace::SecondRow;
 use std::collections::BTreeMap;
 
 /// Configuration for a [`StreamEngine`].
@@ -68,7 +69,8 @@ pub struct StreamConfig {
     /// quarantine thresholds). Defaults to disabled, which reproduces
     /// the unsupervised engine bit-identically.
     pub supervise: SupervisorConfig,
-    /// Execution policy for [`StreamEngine::replay`]'s per-machine
+    /// Execution policy for the per-machine work of
+    /// [`StreamEngine::push_tick`] and [`StreamEngine::replay`]'s
     /// fan-out. Results are bit-identical across policies.
     pub exec: ExecPolicy,
 }
@@ -163,6 +165,15 @@ pub struct StreamOutput {
     pub machines: Vec<StreamSample>,
 }
 
+/// A machine's previous second, as its lagged counters read it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct LagRow {
+    /// The raw counter row.
+    pub(crate) counters: Vec<f64>,
+    /// Per-counter validity; empty or missing entries are valid.
+    pub(crate) counter_ok: Vec<bool>,
+}
+
 /// Per-machine streaming state. Cloneable so parallel replay can work on
 /// a private copy per worker and the engine can write results back.
 #[derive(Debug, Clone)]
@@ -190,26 +201,46 @@ pub(crate) struct MachineState {
     pub(crate) rejoins: usize,
     /// Retry attempts performed.
     pub(crate) retries: usize,
+    /// The machine's previous row; `None` only before the first second.
+    /// Overwritten every second for every machine, present or not, as a
+    /// trace always holds row `t − 1`.
+    pub(crate) lag: Option<LagRow>,
+    /// Working memory for the current second. Not serialized.
+    pub(crate) scratch: MachineScratch,
 }
 
-/// Reusable per-machine scratch buffers for the streaming hot path.
-/// Carries no model state: a fresh instance behaves bit-identically to
-/// a warmed one, so scratch is never serialized and parallel replay
-/// just makes one per worker.
+/// Reusable per-machine scratch for the streaming hot path: the
+/// buffers one second works in, and what the serial phases of a tick
+/// hand to the per-machine finish. Carries no model state: a fresh
+/// instance behaves bit-identically to a warmed one, so scratch is
+/// never serialized.
 #[derive(Debug, Clone)]
 pub(crate) struct MachineScratch {
+    /// The machine's index in the engine (its id in samples, events and
+    /// refit outcomes).
+    id: usize,
     /// Assembled model-input row, reused across seconds.
-    pub(crate) assembled: AssembledRow,
+    assembled: AssembledRow,
     /// Gathered column subset / intercept-augmented row for adapted
     /// predicts and the batched row block.
-    pub(crate) aug: Vec<f64>,
+    aug: Vec<f64>,
     /// Inner design row for [`FittedModel`] predicts.
-    pub(crate) design: Vec<f64>,
+    design: Vec<f64>,
+    /// Whether the machine is in the composition this second.
+    participates: bool,
+    /// Trusted meter reading this second, if any.
+    measured: Option<f64>,
+    /// Raw prediction of the batched kernel, when the machine was in
+    /// this second's block.
+    batched: Option<f64>,
+    /// The finished sample, until composition takes it.
+    sample: Option<StreamSample>,
 }
 
 impl MachineScratch {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(id: usize) -> Self {
         MachineScratch {
+            id,
             assembled: AssembledRow {
                 row: Vec::new(),
                 available: Vec::new(),
@@ -217,6 +248,10 @@ impl MachineScratch {
             },
             aug: Vec::new(),
             design: Vec::new(),
+            participates: false,
+            measured: None,
+            batched: None,
+            sample: None,
         }
     }
 }
@@ -232,8 +267,6 @@ impl MachineScratch {
 /// (`0.0 × NaN`, `-0.0 + 0.0`). All buffers are reused tick to tick.
 #[derive(Debug)]
 pub(crate) struct BatchScratch {
-    /// Per-machine: whether the machine emits a sample this second.
-    participates: Vec<bool>,
     /// Column-major coefficient block (`[intercept | coefs]` rows).
     coefs: CoefBlock,
     /// Column-major feature block (`[1 | model-input row]` rows).
@@ -247,7 +280,6 @@ pub(crate) struct BatchScratch {
 impl BatchScratch {
     pub(crate) fn new(k: usize) -> Self {
         BatchScratch {
-            participates: Vec::new(),
             coefs: CoefBlock::new(k),
             rows: CoefBlock::new(k),
             idx: Vec::new(),
@@ -256,7 +288,6 @@ impl BatchScratch {
     }
 
     fn clear(&mut self) {
-        self.participates.clear();
         self.coefs.clear();
         self.rows.clear();
         self.idx.clear();
@@ -271,8 +302,6 @@ pub struct StreamEngine {
     pub(crate) config: StreamConfig,
     pub(crate) machines: Vec<MachineState>,
     pub(crate) t: usize,
-    /// Per-machine scratch, aligned with `machines`. Not serialized.
-    pub(crate) scratch: Vec<MachineScratch>,
     /// Batched-predict scratch. Not serialized.
     pub(crate) batch: BatchScratch,
 }
@@ -303,7 +332,7 @@ impl StreamEngine {
         }
         let width = estimator.spec().width();
         let states = (0..machines)
-            .map(|_| {
+            .map(|id| {
                 Ok(MachineState {
                     imputer: estimator.new_imputer(),
                     window: SlidingWindow::new(config.window_s, width)?,
@@ -324,6 +353,8 @@ impl StreamEngine {
                     quarantines: 0,
                     rejoins: 0,
                     retries: 0,
+                    lag: None,
+                    scratch: MachineScratch::new(id),
                 })
             })
             .collect::<Result<Vec<_>, StatsError>>()?;
@@ -332,68 +363,25 @@ impl StreamEngine {
             config,
             machines: states,
             t: 0,
-            scratch: (0..machines).map(|_| MachineScratch::new()).collect(),
             batch: BatchScratch::new(width + 1),
         })
     }
 
     /// Processes second `t` of `run` across all machine streams and
-    /// returns the cluster-composed output. Seconds must be fed strictly
-    /// in order starting at 0 (or at the snapshot's cursor after
-    /// [`restore`](StreamEngine::restore)). Membership events scheduled
-    /// at `t` are applied before any machine advances.
+    /// returns the cluster-composed output — the trace-driven form of
+    /// [`push_tick`](StreamEngine::push_tick). Seconds must be fed
+    /// strictly in order starting at 0 (or at the snapshot's cursor
+    /// after [`restore`](StreamEngine::restore)). Membership events
+    /// scheduled at `t` are applied before any machine advances.
     ///
     /// # Errors
     ///
     /// * [`StreamError::OutOfOrder`] if `t` is out of order.
-    /// * [`StreamError::BeyondTrace`] if `t` is past the run's length.
     /// * [`StreamError::MachineCountMismatch`] if the run's machine
     ///   count does not match the engine's.
+    /// * [`StreamError::BeyondTrace`] if `t` is past the run's length.
     /// * [`StreamError::Membership`] for an invalid membership schedule.
-    // chaos-lint: hot — per-second fleet tick; alloc_regression pins it
     pub fn push_second(&mut self, run: &RunTrace, t: usize) -> Result<StreamOutput, StreamError> {
-        let mut out = StreamOutput {
-            t,
-            cluster_power_w: 0.0,
-            worst_tier: EstimateTier::Full,
-            active_machines: 0,
-            // chaos-lint: allow(R6) — the convenience wrapper owns its output; the alloc-free contract is push_second_into with a caller-reused buffer
-            machines: Vec::new(),
-        };
-        self.push_second_into(run, t, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`push_second`](StreamEngine::push_second) into a caller-owned
-    /// [`StreamOutput`], reusing its sample vector so a steady-state
-    /// tick allocates nothing. The output is bit-identical to
-    /// `push_second`; on error `out` holds no samples for this second.
-    ///
-    /// Internally the tick runs in three phases so the fleet is scored
-    /// as a block: (1) every machine assembles its model-input row,
-    /// (2) machines whose adapted model is a full-width linear fit on a
-    /// complete row are gathered into a column-major [`CoefBlock`] and
-    /// scored with one dot-product loop, (3) each machine finishes its
-    /// second (training ingest, drift, refits) in machine order. Phase
-    /// interleaving is unobservable: machine states are independent
-    /// within a second, and the batched kernel is bit-identical to the
-    /// per-machine scalar predict (see [`chaos_stats::batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`push_second`](StreamEngine::push_second).
-    // chaos-lint: hot — alloc-free steady-state tick (alloc_regression)
-    pub fn push_second_into(
-        &mut self,
-        run: &RunTrace,
-        t: usize,
-        out: &mut StreamOutput,
-    ) -> Result<(), StreamError> {
-        out.t = t;
-        out.cluster_power_w = 0.0;
-        out.worst_tier = EstimateTier::Full;
-        out.active_machines = 0;
-        out.machines.clear();
         if t != self.t {
             return Err(StreamError::OutOfOrder {
                 expected: self.t,
@@ -417,21 +405,67 @@ impl StreamEngine {
             membership::apply_initial_activity(&mut self.machines, run);
         }
         membership::apply_events_at(&self.estimator, &mut self.machines, run, t);
+        let rows: Vec<SecondRow<'_>> = run.machines.iter().map(|m| m.row(t)).collect();
+        let mut out = StreamOutput {
+            t,
+            cluster_power_w: 0.0,
+            worst_tier: EstimateTier::Full,
+            active_machines: 0,
+            machines: Vec::new(),
+        };
+        self.push_tick(&rows, &mut out)?;
+        Ok(out)
+    }
 
+    /// Processes the next second from one row per machine, machine
+    /// order, into a caller-owned [`StreamOutput`] whose sample vector
+    /// is reused, so a steady-state tick under [`ExecPolicy::Serial`]
+    /// allocates nothing. The engine reads nothing but `rows` and its
+    /// own state: each machine keeps its previous row for lagged
+    /// counters. Membership is the caller's; on error `out` holds no
+    /// samples for this second.
+    ///
+    /// A tick runs in four phases so the fleet is scored as a block:
+    /// (1) every machine assembles its model-input row and keeps the
+    /// current row as its next lag row, (2) machines whose adapted model
+    /// is a full-width linear fit on a complete row are gathered into a
+    /// column-major [`CoefBlock`] and scored with one dot-product loop,
+    /// (3) each machine finishes its second (fallback, training ingest,
+    /// drift, refits) under `config.exec`, and (4) the samples compose
+    /// in machine order (Eq. 5). Machine states are independent within
+    /// a second and the batched kernel is bit-identical to the
+    /// per-machine scalar predict (see [`chaos_stats::batch`]), so the
+    /// output is the same bits under any policy.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::MachineCountMismatch`] if `rows` does not hold
+    /// one row per engine machine.
+    // chaos-lint: hot — per-second fleet tick; alloc_regression pins it at zero allocations under Serial
+    pub fn push_tick(
+        &mut self,
+        rows: &[SecondRow<'_>],
+        out: &mut StreamOutput,
+    ) -> Result<(), StreamError> {
+        let t = self.t;
+        out.t = t;
+        out.cluster_power_w = 0.0;
+        out.worst_tier = EstimateTier::Full;
+        out.active_machines = 0;
+        out.machines.clear();
+        if rows.len() != self.machines.len() {
+            return Err(StreamError::MachineCountMismatch {
+                run: rows.len(),
+                engine: self.machines.len(),
+            });
+        }
         let estimator = &self.estimator;
         let config = &self.config;
 
-        // Phase 1: quarantine accounting + row assembly per machine.
-        self.batch.clear();
-        for ((state, scratch), m) in self
-            .machines
-            .iter_mut()
-            .zip(self.scratch.iter_mut())
-            .zip(&run.machines)
-        {
-            let participates = Self::pre_advance(estimator, state, scratch, m, t);
-            // chaos-lint: allow(R6) — pushes into a per-engine buffer cleared each tick; clear() keeps capacity, so steady state never grows it
-            self.batch.participates.push(participates);
+        // Phase 1: quarantine accounting, row assembly and the lag
+        // handover, per machine.
+        for (state, row) in self.machines.iter_mut().zip(rows) {
+            Self::begin_second(estimator, state, row, t);
         }
 
         // Phase 2: gather the SoA block. Eligible machines have an
@@ -439,9 +473,11 @@ impl StreamEngine {
         // steady state after a CoefficientRefresh) and a complete row.
         // `columns.len() == width` implies the identity selection:
         // selections are ascending unique indices into `0..width`.
+        self.batch.clear();
         let width = estimator.spec().width();
-        for (i, state) in self.machines.iter().enumerate() {
-            if !self.batch.participates[i] || !self.scratch[i].assembled.complete() {
+        for (i, state) in self.machines.iter_mut().enumerate() {
+            let s = &mut state.scratch;
+            if !s.participates || !s.assembled.complete() {
                 continue;
             }
             let Some(AdaptedModel::Linear { columns, fit }) = state.adapted.as_ref() else {
@@ -450,7 +486,6 @@ impl StreamEngine {
             if columns.len() != width || fit.coefficients().len() != width + 1 {
                 continue;
             }
-            let s = &mut self.scratch[i];
             s.aug.clear();
             // chaos-lint: allow(R6) — recycled per-machine scratch; cleared above with capacity kept
             s.aug.push(1.0);
@@ -468,43 +503,35 @@ impl StreamEngine {
         self.batch.rows.seal();
         // chaos-lint: allow(R6) — bounded by machine count; the output buffer's capacity is retained across ticks
         self.batch.out.resize(self.batch.idx.len(), 0.0);
+        // A kernel error is unreachable by construction (widths are
+        // validated at gather time); it leaves every machine on the
+        // scalar path rather than dropping a sample.
         if !self.batch.idx.is_empty()
             && self
                 .batch
                 .coefs
                 .predict_into(&self.batch.rows, &mut self.batch.out)
-                .is_err()
+                .is_ok()
         {
-            // Unreachable by construction (widths are validated at
-            // gather time); degrade to the scalar path, never drop a
-            // sample.
-            self.batch.idx.clear();
+            for (&i, &p) in self.batch.idx.iter().zip(&self.batch.out) {
+                if let Some(state) = self.machines.get_mut(i) {
+                    state.scratch.batched = Some(p);
+                }
+            }
         }
 
-        // Phase 3: finish every machine's second in machine order,
-        // composing as we go — the same accumulation order as
-        // `compose`, preserving bit-identity.
-        let mut bi = 0usize;
-        for (i, ((state, scratch), m)) in self
-            .machines
-            .iter_mut()
-            .zip(self.scratch.iter_mut())
-            .zip(&run.machines)
-            .enumerate()
-        {
-            if !self.batch.participates[i] {
-                continue;
-            }
-            let adapted_power = if bi < self.batch.idx.len() && self.batch.idx[bi] == i {
-                let p = self.batch.out[bi];
-                bi += 1;
-                Some(p).filter(|p| p.is_finite())
-            } else {
-                Self::scalar_adapted_power(state, scratch)
-            };
-            if let Some(sample) =
-                Self::finish_advance(estimator, config, state, scratch, m, t, adapted_power)
-            {
+        // Phase 3: finish every machine's second under the configured
+        // policy. Each call touches only its own machine, and the sample
+        // stays in its scratch: the collected `Vec<()>` never allocates,
+        // so a serial tick stays alloc-free.
+        config.exec.par_map_mut(&mut self.machines, |state| {
+            state.scratch.sample = Self::finish_second(estimator, config, state, t);
+        });
+
+        // Phase 4: compose in machine order — the same accumulation
+        // order as `compose`, preserving bit-identity.
+        for state in &mut self.machines {
+            if let Some(sample) = state.scratch.sample.take() {
                 out.cluster_power_w += sample.power_w;
                 out.worst_tier = out.worst_tier.max(sample.tier);
                 // chaos-lint: allow(R6) — out.machines is cleared (capacity kept) at tick start; bounded by machine count
@@ -569,10 +596,9 @@ impl StreamEngine {
             let segment: Vec<(MachineState, Vec<Option<StreamSample>>)> =
                 config.exec.par_map_indices(machines.len(), |i| {
                     let mut state = machines[i].clone();
-                    let mut scratch = MachineScratch::new();
                     let m = &run.machines[i];
                     let samples: Vec<Option<StreamSample>> = (lo..hi)
-                        .map(|t| Self::advance(estimator, &config, &mut state, &mut scratch, m, t))
+                        .map(|t| Self::advance(estimator, &config, &mut state, &m.row(t), t))
                         .collect();
                     (state, samples)
                 });
@@ -724,32 +750,66 @@ impl StreamEngine {
     /// (no `&mut self`) so parallel replay can run it on cloned states.
     /// Returns `None` for machines outside the composition this second
     /// (left, not yet joined, or quarantined). Bit-identical to the
-    /// batched phases of [`push_second_into`](StreamEngine::push_second_into).
+    /// batched phases of [`push_tick`](StreamEngine::push_tick).
     fn advance(
         estimator: &RobustEstimator,
         config: &StreamConfig,
         state: &mut MachineState,
-        scratch: &mut MachineScratch,
-        m: &MachineRunTrace,
+        row: &SecondRow<'_>,
         t: usize,
     ) -> Option<StreamSample> {
-        if !Self::pre_advance(estimator, state, scratch, m, t) {
-            return None;
-        }
-        let adapted_power = Self::scalar_adapted_power(state, scratch);
-        Self::finish_advance(estimator, config, state, scratch, m, t, adapted_power)
+        Self::begin_second(estimator, state, row, t);
+        Self::finish_second(estimator, config, state, t)
     }
 
-    /// First phase of one machine-second: quarantine accounting and row
-    /// assembly into `scratch.assembled`. Returns whether the machine
-    /// participates in the composition this second.
-    fn pre_advance(
+    /// First phase of one machine-second: quarantine accounting, row
+    /// assembly into the scratch from `row` and the lag row, the trusted
+    /// meter reading, and the lag handover — the current row becomes
+    /// the next second's lag row whether or not the machine takes part.
+    fn begin_second(
         estimator: &RobustEstimator,
         state: &mut MachineState,
-        scratch: &mut MachineScratch,
-        m: &MachineRunTrace,
+        row: &SecondRow<'_>,
         t: usize,
-    ) -> bool {
+    ) {
+        state.scratch.batched = None;
+        state.scratch.participates = Self::admit(state, t);
+        if state.scratch.participates {
+            chaos_obs::add("stream.samples", 1);
+            let current = CounterRow {
+                counters: row.counters,
+                counter_ok: row.counter_ok.unwrap_or(&[]),
+            };
+            let lag = state.lag.as_ref().map(|l| CounterRow {
+                counters: &l.counters,
+                counter_ok: &l.counter_ok,
+            });
+            let alive = row.alive.unwrap_or(true);
+            estimator.assemble_row_from(
+                current,
+                alive,
+                lag,
+                &mut state.imputer,
+                &mut state.scratch.assembled,
+            );
+            // `None` means the meter cannot be trusted (faulted, machine
+            // dead, or non-finite): neither training nor drift sees it.
+            state.scratch.measured = Some(row.measured_power_w)
+                .filter(|v| v.is_finite() && row.meter_ok.unwrap_or(true) && alive);
+        }
+        let lag = state.lag.get_or_insert_with(LagRow::default);
+        lag.counters.clear();
+        // chaos-lint: allow(R6) — refills a row buffer cleared above; its capacity is the catalog width after the first second
+        lag.counters.extend_from_slice(row.counters);
+        lag.counter_ok.clear();
+        // chaos-lint: allow(R6) — same recycled row buffer, bounded by the catalog width
+        lag.counter_ok
+            .extend_from_slice(row.counter_ok.unwrap_or(&[]));
+    }
+
+    /// Whether the machine takes part this second, counting down (and
+    /// ending) quarantine.
+    fn admit(state: &mut MachineState, t: usize) -> bool {
         if !state.active {
             return false;
         }
@@ -772,27 +832,25 @@ impl StreamEngine {
                 "stream.supervisor.rejoin",
                 &[
                     ("t", Value::U64(t as u64)),
-                    ("machine", Value::U64(m.machine_id as u64)),
+                    ("machine", Value::U64(state.scratch.id as u64)),
                 ],
             );
         }
-
-        chaos_obs::add("stream.samples", 1);
-        estimator.assemble_row_into(m, t, &mut state.imputer, &mut scratch.assembled);
         true
     }
 
     /// Scalar adapted predict over the assembled row — the per-machine
     /// counterpart of the batched [`CoefBlock`] kernel.
-    fn scalar_adapted_power(state: &MachineState, scratch: &mut MachineScratch) -> Option<f64> {
-        if !scratch.assembled.complete() {
-            return None;
-        }
+    fn scalar_adapted_power(state: &mut MachineState) -> Option<f64> {
         let MachineScratch {
             assembled,
             aug,
             design,
-        } = scratch;
+            ..
+        } = &mut state.scratch;
+        if !assembled.complete() {
+            return None;
+        }
         state
             .adapted
             .as_ref()
@@ -801,19 +859,26 @@ impl StreamEngine {
 
     /// Final phase of one machine-second: fallback-chain estimation when
     /// no adapted model answered, training ingest, drift scoring, and
-    /// the refit ladder. `adapted_power` is the (already
-    /// finiteness-filtered) adapted prediction from the batched or
-    /// scalar kernel.
-    fn finish_advance(
+    /// the refit ladder. The adapted prediction is the batched kernel's
+    /// (finiteness-filtered) when the machine was in the block, else the
+    /// scalar kernel's. Returns `None` when the machine is outside the
+    /// composition this second.
+    fn finish_second(
         estimator: &RobustEstimator,
         config: &StreamConfig,
         state: &mut MachineState,
-        scratch: &mut MachineScratch,
-        m: &MachineRunTrace,
         t: usize,
-        adapted_power: Option<f64>,
     ) -> Option<StreamSample> {
-        let assembled = &scratch.assembled;
+        if !state.scratch.participates {
+            return None;
+        }
+        let adapted_power = match state.scratch.batched {
+            Some(p) => Some(p).filter(|p| p.is_finite()),
+            None => Self::scalar_adapted_power(state),
+        };
+        let id = state.scratch.id;
+        let measured = state.scratch.measured;
+        let scratch = &mut state.scratch;
 
         // Prediction: a window-adapted model answers on complete rows;
         // anything it cannot answer falls through to the offline
@@ -822,29 +887,22 @@ impl StreamEngine {
         let (power_w, tier, adapted) = match adapted_power {
             Some(p) => (p, EstimateTier::Full, true),
             None => {
-                let est = estimator.estimate_from_row_with(assembled, &mut scratch.design);
+                let est = estimator.estimate_from_row_with(&scratch.assembled, &mut scratch.design);
                 (est.power_w, est.tier, false)
             }
         };
-        let assembled = &scratch.assembled;
-
-        // The metered power for this second, kept typed: `None` means
-        // the meter cannot be trusted (absent, faulted, machine dead, or
-        // non-finite) and neither training nor drift scoring sees it.
-        let measured = m
-            .measured_power_w
-            .get(t)
-            .copied()
-            .filter(|v| v.is_finite() && m.meter_ok(t) && m.alive_at(t));
+        let imputed = scratch.assembled.imputed;
+        let pristine = scratch.assembled.complete() && imputed == 0;
 
         // Training ingest: only pristine seconds (complete row, nothing
         // imputed, trusted meter) enter the window, so adapted models
         // never train on reconstructed data.
         let mut ingested = false;
         if let Some(y) = measured {
-            if assembled.complete() && assembled.imputed == 0 {
+            if pristine {
+                let row = &state.scratch.assembled.row;
                 // chaos-lint: allow(R6) — WindowedOls::push is a rank-1 update into preallocated Gram storage (aug_scratch is reused)
-                if state.wols.push(&assembled.row, y).is_ok() {
+                if state.wols.push(row, y).is_ok() {
                     ingested = true;
                     // A full window evicts its oldest row: hand it to
                     // the solver's pop *before* the push recycles its
@@ -858,7 +916,7 @@ impl StreamEngine {
                             desync = state.wols.pop(old_row, old_y).is_err();
                         }
                     }
-                    if state.window.push_recycle(&assembled.row, y).is_err() {
+                    if state.window.push_recycle(row, y).is_err() {
                         // The solver push above validated the same
                         // width, so this cannot fail; count it if the
                         // impossible happens rather than panic.
@@ -881,7 +939,7 @@ impl StreamEngine {
                 "stream.supervisor.ramp_complete",
                 &[
                     ("t", Value::U64(t as u64)),
-                    ("machine", Value::U64(m.machine_id as u64)),
+                    ("machine", Value::U64(id as u64)),
                 ],
             );
         }
@@ -895,8 +953,8 @@ impl StreamEngine {
             if ingested && state.window.len() >= config.min_refit_samples.max(1) {
                 state.retries += 1;
                 chaos_obs::add("stream.supervisor.retries", 1);
-                let requested = Self::capped_tier(state, config, pending.requested);
-                let outcome = Self::run_refit(estimator, config, state, requested, t, m.machine_id);
+                let requested = Self::capped_tier(state, pending.requested);
+                let outcome = Self::run_refit(estimator, config, state, requested, t, id);
                 let succeeded = outcome.applied.is_some();
                 applied_refit = outcome.applied;
                 // chaos-lint: allow(R6) — refit bookkeeping on the event-driven retry branch, not the quiet tick
@@ -907,7 +965,7 @@ impl StreamEngine {
                     state.consecutive_failures = 0;
                 } else if pending.attempts_left <= 1 {
                     state.retry = None;
-                    Self::note_exhausted(state, config, t, m.machine_id);
+                    Self::note_exhausted(state, config, t, id);
                 } else {
                     state.retry = Some(RetryState {
                         requested: pending.requested,
@@ -937,16 +995,15 @@ impl StreamEngine {
                         "stream.drift",
                         &[
                             ("t", Value::U64(t as u64)),
-                            ("machine", Value::U64(m.machine_id as u64)),
+                            ("machine", Value::U64(id as u64)),
                             ("rolling_dre", dre_field),
                             ("ratio", ratio_field),
                             // chaos-lint: allow(R6) — drift-event field; this branch fires only on drift detection
                             ("requested", Value::Str(requested.label().to_string())),
                         ],
                     );
-                    let capped = Self::capped_tier(state, config, requested);
-                    let outcome =
-                        Self::run_refit(estimator, config, state, capped, t, m.machine_id);
+                    let capped = Self::capped_tier(state, requested);
+                    let outcome = Self::run_refit(estimator, config, state, capped, t, id);
                     let succeeded = outcome.applied.is_some();
                     applied_refit = outcome.applied;
                     // chaos-lint: allow(R6) — refit bookkeeping on the drift branch, not the quiet tick
@@ -960,17 +1017,17 @@ impl StreamEngine {
                             attempts_left: config.supervise.max_attempts - 1,
                         });
                     } else {
-                        Self::note_exhausted(state, config, t, m.machine_id);
+                        Self::note_exhausted(state, config, t, id);
                     }
                 }
             }
         }
 
         Some(StreamSample {
-            machine_id: m.machine_id,
+            machine_id: id,
             power_w,
             tier,
-            imputed: assembled.imputed,
+            imputed,
             adapted,
             rolling_dre,
             refit: applied_refit,
@@ -981,11 +1038,7 @@ impl StreamEngine {
     /// The refit tier actually requested after the ramp cap: a machine
     /// still refilling its window may not run tiers its window cannot
     /// support.
-    fn capped_tier(
-        state: &MachineState,
-        _config: &StreamConfig,
-        requested: RefitTier,
-    ) -> RefitTier {
+    fn capped_tier(state: &MachineState, requested: RefitTier) -> RefitTier {
         if state.health == MachineHealth::Ramping {
             requested.min(supervise::ramp_cap(
                 state.window.len(),
@@ -1124,38 +1177,6 @@ impl StreamEngine {
         }
     }
 
-    /// Shifts the engine's stream cursor back by `delta` seconds without
-    /// touching any model state.
-    ///
-    /// This is the compaction hook for serving layers that keep a
-    /// *bounded rolling buffer* of trace seconds instead of the full run
-    /// history: after dropping `delta` leading seconds from the buffer,
-    /// rebase the engine by the same amount and the next
-    /// [`push_second`](StreamEngine::push_second) call lines up with the
-    /// compacted index space. The engine stores no absolute time besides
-    /// the cursor, so rebasing is exact — **provided the caller keeps at
-    /// least the final consumed second in the buffer**, because feature
-    /// assembly reads the previous row for lagged counters. Compacting
-    /// down to one retained second (cursor 1) and rebasing every tick is
-    /// bit-identical to feeding the uncompacted run (pinned by
-    /// `rolling_rebase.rs` in this crate's tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StreamError::Rebase`] if `delta` exceeds the seconds
-    /// consumed so far, or if it would drop the lag row (leave the
-    /// cursor at 0 after consuming at least one second).
-    pub fn rebase(&mut self, delta: usize) -> Result<(), StreamError> {
-        if delta > self.t || (self.t > 0 && delta == self.t) {
-            return Err(StreamError::Rebase {
-                consumed: self.t,
-                delta,
-            });
-        }
-        self.t -= delta;
-        Ok(())
-    }
-
     /// Removes and returns every refit outcome accumulated since the
     /// last drain, machine order then time order.
     ///
@@ -1163,8 +1184,7 @@ impl StreamEngine {
     /// log alive inside the engine, which is right for bounded offline
     /// replays but grows without bound in a long-running server. A
     /// serving layer drains instead, keeping engine memory flat and
-    /// aggregating tallies on its own side. Outcome `t` values are in
-    /// the engine's (possibly rebased) index space.
+    /// aggregating tallies on its own side.
     pub fn drain_refit_outcomes(&mut self) -> Vec<RefitOutcome> {
         let mut out = Vec::new();
         for state in &mut self.machines {
@@ -1228,5 +1248,12 @@ impl StreamEngine {
     /// The engine's configuration.
     pub fn config(&self) -> &StreamConfig {
         &self.config
+    }
+
+    /// Sets the execution policy of the per-machine work. Output is
+    /// bit-identical under every policy, so a restored engine may run
+    /// under the restoring process's policy rather than the snapshot's.
+    pub fn set_exec(&mut self, exec: ExecPolicy) {
+        self.config.exec = exec;
     }
 }

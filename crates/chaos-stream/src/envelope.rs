@@ -1,6 +1,7 @@
 //! The snapshot envelope shared by the `CHAOSNAP` engine format
 //! ([`checkpoint`](crate::checkpoint)) and chaos-serve's `CHAOSRVE`
-//! server format, and the one error vocabulary for both.
+//! server format, which carries its fleet engine's `CHAOSNAP` snapshot
+//! as one opaque blob, and the one error vocabulary for both.
 //!
 //! | offset | bytes | field |
 //! |--------|-------|-------|

@@ -36,10 +36,12 @@
 //!   ([`MachineHealth`]) that drops a persistently failing model out of
 //!   the Eq. 5 composition.
 //!
-//! Input arrives either as whole traces replayed second-by-second
-//! ([`StreamEngine::replay`]) or via [`StreamEngine::push_second`]; the
-//! per-sample surface over raw traces is
-//! [`chaos_counters::RunTrace::sample_stream`].
+//! The engine's per-second primitive is [`StreamEngine::push_tick`]:
+//! one borrowed row per machine, each machine keeping its previous row
+//! for lagged counters, so a live server feeds it without holding any
+//! trace. Whole traces go through [`StreamEngine::push_second`] (one
+//! second, membership applied) or [`StreamEngine::replay`] (every
+//! second, machines fanned out).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -3,14 +3,16 @@
 //!
 //! A cluster's composition (Eq. 5) is not static in deployment: machines
 //! get decommissioned, rebooted, and swapped. The engine consumes the
-//! membership schedule attached to a
-//! [`RunTrace`](chaos_counters::RunTrace) and applies each event at the
-//! second it names, *before* advancing any machine stream for that
-//! second — the same ordering whether seconds arrive one at a time
-//! ([`StreamEngine::push_second`](crate::StreamEngine::push_second)) or
-//! through the segmented parallel fan-out of
+//! membership schedule attached to a [`RunTrace`] and applies each
+//! event at the second it names, *before* advancing any machine stream
+//! for that second — the same ordering whether seconds arrive one at a
+//! time ([`StreamEngine::push_second`](crate::StreamEngine::push_second))
+//! or through the segmented parallel fan-out of
 //! [`StreamEngine::replay`](crate::StreamEngine::replay), which is what
-//! keeps composition deterministic under any membership sequence.
+//! keeps composition deterministic under any membership sequence. The
+//! row-level [`StreamEngine::push_tick`](crate::StreamEngine::push_tick)
+//! reads no trace, so it applies no schedule: its caller owns
+//! membership.
 //!
 //! A joining machine does not start cold: it *warm-starts* from a donor
 //! machine's adapted model when one is named (falling back to a linear

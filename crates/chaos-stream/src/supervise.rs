@@ -50,14 +50,6 @@ pub enum StreamError {
         /// Seconds already consumed.
         consumed: usize,
     },
-    /// A cursor rebase would rewind past consumed history or drop the
-    /// lag row (see [`crate::StreamEngine::rebase`]).
-    Rebase {
-        /// Seconds consumed at the time of the rebase request.
-        consumed: usize,
-        /// Requested rebase delta.
-        delta: usize,
-    },
     /// The run's membership schedule is invalid.
     Membership {
         /// What was wrong with the schedule.
@@ -89,11 +81,6 @@ impl std::fmt::Display for StreamError {
             StreamError::NotPristine { consumed } => write!(
                 f,
                 "stream engine: replay needs a fresh engine, {consumed} seconds already consumed"
-            ),
-            StreamError::Rebase { consumed, delta } => write!(
-                f,
-                "stream engine: cannot rebase cursor by {delta} with {consumed} seconds consumed \
-                 (the rebased buffer must retain the last consumed second)"
             ),
             StreamError::Membership { context } => {
                 write!(f, "stream engine: invalid membership schedule: {context}")

@@ -3,8 +3,9 @@
 //!
 //! A counting global allocator wraps [`std::alloc::System`]; after the
 //! engine has warmed past window fill (every scratch buffer, ring, and
-//! window at final capacity), each [`StreamEngine::push_second_into`]
-//! tick must perform **zero** heap allocations. Any new allocation on
+//! window at final capacity), each serial [`StreamEngine::push_tick`]
+//! must perform **zero** heap allocations, its row views staged in a
+//! reused vector. Any new allocation on
 //! the per-sample path — a `Vec` literal, a `to_vec`, a formatted
 //! string — fails this test, which is the point: the alloc-free
 //! property is load-bearing for fleet-scale serving throughput and
@@ -18,6 +19,7 @@ use chaos_core::{FeatureSpec, ModelTechnique};
 use chaos_counters::{MachineRunTrace, RunTrace, ValidityMask};
 use chaos_sim::Platform;
 use chaos_stream::{StreamConfig, StreamEngine, StreamOutput};
+use chaos_trace::SecondRow;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -97,8 +99,15 @@ fn synthetic_trace(machines: usize, seconds: usize, salt: usize) -> RunTrace {
     }
 }
 
+/// Stages second `t` of every machine as row views in `rows`, reusing
+/// its storage.
+fn rows_at<'a>(run: &'a RunTrace, t: usize, rows: &mut Vec<SecondRow<'a>>) {
+    rows.clear();
+    rows.extend(run.machines.iter().map(|m| m.row(t)));
+}
+
 #[test]
-fn steady_state_push_second_allocates_nothing() {
+fn steady_state_push_tick_allocates_nothing() {
     const MACHINES: usize = 3;
     const SECONDS: usize = 240;
     // Offline config: drift response disabled, so the engine exercises
@@ -136,12 +145,13 @@ fn steady_state_push_second_allocates_nothing() {
         machines: Vec::new(),
     };
 
-    // Warmup: fill windows, solvers, DRE rings, and every scratch buffer
-    // to their steady-state capacity.
+    let mut rows: Vec<SecondRow<'_>> = Vec::with_capacity(MACHINES);
+
+    // Warmup: fill windows, solvers, DRE rings, lag rows and every
+    // scratch buffer to their steady-state capacity.
     for t in 0..warmup {
-        engine
-            .push_second_into(&run, t, &mut out)
-            .expect("warmup tick");
+        rows_at(&run, t, &mut rows);
+        engine.push_tick(&rows, &mut out).expect("warmup tick");
         assert_eq!(out.active_machines, MACHINES);
     }
 
@@ -149,9 +159,8 @@ fn steady_state_push_second_allocates_nothing() {
     COUNTING.store(true, Ordering::SeqCst);
     let mut measured_ticks = 0u64;
     for t in warmup..SECONDS {
-        engine
-            .push_second_into(&run, t, &mut out)
-            .expect("steady tick");
+        rows_at(&run, t, &mut rows);
+        engine.push_tick(&rows, &mut out).expect("steady tick");
         measured_ticks += 1;
     }
     COUNTING.store(false, Ordering::SeqCst);
@@ -164,7 +173,7 @@ fn steady_state_push_second_allocates_nothing() {
     );
     assert_eq!(
         allocs, 0,
-        "steady-state push_second_into performed {allocs} heap allocations \
+        "steady-state push_tick performed {allocs} heap allocations \
          over {measured_ticks} ticks — the hot loop must be alloc-free after warmup"
     );
 }

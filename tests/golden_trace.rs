@@ -448,8 +448,9 @@ fn serve_fingerprint() -> Value {
         .collect();
 
     let drive = |exec: ExecPolicy| -> (u64, f64, u64) {
-        let opts = chaos::serve::bootstrap::ServeOptions::quick(spec);
-        let mut server = Server::new(opts, exec, None, 0).expect("boot server");
+        let mut opts = chaos::serve::bootstrap::ServeOptions::quick(spec);
+        opts.stream = opts.stream.with_exec(exec);
+        let mut server = Server::new(opts, None, 0).expect("boot server");
         let mut bodies = Vec::new();
         let mut last_power = 0.0;
         for tick in &ticks {
